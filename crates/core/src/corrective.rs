@@ -1,38 +1,37 @@
 //! Corrective query processing (paper §4): execute, monitor, re-optimize,
 //! switch plans in mid-pipeline, stitch up at the end.
 //!
-//! Phase plans execute in one of two modes:
+//! [`CorrectiveExec::run`] is one phase loop, whatever the clock or
+//! threading. Each phase plan is lowered (fragmented at the cuts the
+//! optimizer picks from the live catalog) and executed by a
+//! [`tukwila_exec::PhaseRun`], whose root inputs this loop sweeps while
+//! the monitor re-optimizes:
 //!
-//! * **Sequential** (the seed behavior, and every virtual-clock run): the
-//!   corrective loop drives all fragments on its own thread through the
-//!   sequential [`FragmentRun`] — exchange handoff is immediate, so a
-//!   switch can seal at any batch boundary.
-//! * **Threaded** (wall clock + fragmentation configured): each phase
-//!   plan's producer fragments run on their own threads behind bounded
-//!   exchange queues ([`tukwila_exec::ThreadedFragmentRun`]), so a
-//!   CPU-heavy subtree genuinely overlaps delivery-bound scans *while the
-//!   monitor keeps re-optimizing*. A switch then uses the loss-free
-//!   **quiesce protocol**: producers park at a batch boundary and report
-//!   their high-water marks, the controller drains every exchange's
-//!   in-flight tuples into the old plan, seals all fragments, recovers
-//!   the sources, and spawns the next phase's fragments — no tuple is
-//!   ever dropped or duplicated, and no thread outlives the run.
+//! * **Sequential** (every virtual-clock run, and the default): the phase
+//!   run spawns no threads — all fragments run on this thread with
+//!   immediate exchange handoff, so a switch can seal at any batch
+//!   boundary.
+//! * **Threaded** (wall clock + fragmentation configured): the producer
+//!   fragments run on their own threads behind bounded exchange queues,
+//!   so a CPU-heavy subtree genuinely overlaps delivery-bound scans
+//!   *while the monitor keeps re-optimizing*. A switch then uses the
+//!   loss-free **quiesce protocol**: producers park at a batch boundary
+//!   and report their high-water marks, the seal drains every exchange's
+//!   in-flight tuples into the old plan, seals all fragments, and
+//!   recovers the sources for the next phase — no tuple is ever dropped
+//!   or duplicated, and no thread outlives the run.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use tukwila_exec::agg::SharedGroupTable;
-use tukwila_exec::driver::charged_cost;
 use tukwila_exec::plan::NodeObservation;
-use tukwila_exec::{
-    Batch, CpuCostModel, DataBatch, ExchangePoll, ExecReport, FragmentOptions, FragmentRun,
-    PushTarget, ThreadedFragmentRun, Timeline,
-};
+use tukwila_exec::{Batch, CpuCostModel, ExecReport, FragmentOptions, PhaseRun, Sweep, Timeline};
 use tukwila_optimizer::{
     FragmentationConfig, LogicalQuery, Optimizer, OptimizerContext, PhysPlan, PreAggConfig,
 };
-use tukwila_relation::{Error, Expr, Result, Schema, Tuple};
+use tukwila_relation::{Error, Result, Schema, Tuple};
 use tukwila_source::{Poll, Source, SourceProgressView};
 use tukwila_stats::selectivity::SourceProgress;
 use tukwila_stats::trace::SpanKind;
@@ -40,7 +39,7 @@ use tukwila_stats::{Clock, DeliveryCosts, SelectivityCatalog, TraceEvent, TraceS
 use tukwila_storage::registry::ReuseStats;
 use tukwila_storage::StateRegistry;
 
-use crate::lowering::{apply_post_project, lower_fragmented};
+use crate::lowering::{apply_post_project, lower_fragmented, FragmentedLower};
 use crate::stitchup::{StitchUp, StitchUpStats};
 
 /// Configuration of the corrective executor.
@@ -49,7 +48,7 @@ pub struct CorrectiveConfig {
     pub batch_size: usize,
     pub cpu: CpuCostModel,
     /// Re-optimizer polling interval in source batches. The paper polls
-    /// every second at SF 0.1; per DESIGN.md S5 we scale by data volume.
+    /// every second at SF 0.1; we scale by data volume.
     pub poll_every_batches: u64,
     /// Switch when `candidate cost < threshold × current remaining cost`.
     pub switch_threshold: f64,
@@ -194,22 +193,10 @@ fn calibrate_unit_us(measured_cpu_us: f64, total_units: f64, remaining_units: f6
     Some((measured_cpu_us / consumed_units).clamp(1e-3, 10.0))
 }
 
-/// A phase plan lowered for corrective execution: the (possibly
-/// single-fragment) fragment run plus the lowering metadata the monitor
-/// needs.
-struct PhaseLowered {
-    run: FragmentRun,
-    join_nodes: Vec<(usize, u64)>,
-    table: Option<Arc<SharedGroupTable>>,
-    post_project: Option<(Vec<Expr>, Schema)>,
-    fragments: usize,
-}
-
 /// Placeholder occupying a caller's source slot while the real source is
-/// owned by a threaded phase (producer fragment thread or the
-/// controller's root list). Never polled — the threaded runner takes
-/// every slot up front and restores the recovered sources before
-/// returning; polling one is a bug.
+/// owned by a phase run. Never polled — the corrective loop takes every
+/// slot up front and restores the recovered sources before returning;
+/// polling one is a bug.
 struct TakenSource {
     rel_id: u32,
     name: String,
@@ -231,7 +218,7 @@ impl Source for TakenSource {
 
     fn poll(&mut self, _now_us: u64, _max_tuples: usize) -> Poll {
         panic!(
-            "source '{}' (relation {}) is owned by a threaded corrective phase",
+            "source '{}' (relation {}) is owned by a corrective phase run",
             self.name, self.rel_id
         );
     }
@@ -243,55 +230,6 @@ impl Source for TakenSource {
             eof: false,
         }
     }
-}
-
-/// How a threaded phase ended.
-enum PhaseEnd {
-    /// Every input ran dry; the query is done.
-    Completed,
-    /// The monitor decided to switch to this candidate and every producer
-    /// quiesced in time.
-    Switched(Box<PhysPlan>),
-}
-
-/// Exchange-queue statistics aggregated across a run's phases (threaded
-/// mode; the sequential fragment run has no queues and reports zeros).
-#[derive(Debug, Default)]
-struct ExchangeTotals {
-    /// High-water mark of queue depth (batches) in any one exchange.
-    max_queue_depth: u64,
-    /// Blocked sends summed per exchange id across phases.
-    blocked: HashMap<u32, u64>,
-}
-
-impl ExchangeTotals {
-    fn absorb(&mut self, max_queue_depth: u64, blocked_by_exchange: &[(u32, u64)]) {
-        self.max_queue_depth = self.max_queue_depth.max(max_queue_depth);
-        for (id, n) in blocked_by_exchange {
-            *self.blocked.entry(*id).or_insert(0) += n;
-        }
-    }
-
-    fn blocked_by_exchange(&self) -> Vec<(u32, u64)> {
-        let mut v: Vec<(u32, u64)> = self.blocked.iter().map(|(id, n)| (*id, *n)).collect();
-        v.sort_by_key(|(id, _)| *id);
-        v
-    }
-}
-
-/// The mutable run-wide state the sequential and threaded drivers share,
-/// handed to the common stitch-up/finalize tail.
-struct RunTotals {
-    timeline: Timeline,
-    answers: Batch,
-    phases: Vec<PhaseInfo>,
-    total_batches: u64,
-    /// CPU charged by producer fragment threads (threaded mode only) —
-    /// added to the report's `cpu_us` next to the controller timeline's.
-    extra_cpu_us: u64,
-    calibrated_unit_us: Option<f64>,
-    /// Exchange backpressure/depth totals (threaded mode only).
-    exchange_stats: ExchangeTotals,
 }
 
 /// The corrective query processing executor.
@@ -308,31 +246,22 @@ impl CorrectiveExec {
     /// Lower a phase plan, fragmenting it at the cuts the optimizer's
     /// fragmentation pass chooses from the *current* context (observed
     /// delivery rates included) when fragments are enabled. `fragments`
-    /// is the run's live fragmentation config — the drivers thread a
-    /// mutable copy so the warmup calibration can reprice exchanges
-    /// before later phases lower.
+    /// is the run's live fragmentation config, whose exchange prices the
+    /// warmup calibration reprices.
     fn lower_phase(
         &self,
         phys: &PhysPlan,
         ctx: &OptimizerContext,
-        shared: Option<Arc<SharedGroupTable>>,
         fragments: Option<&FragmentationConfig>,
-    ) -> Result<PhaseLowered> {
+        shared: Option<Arc<SharedGroupTable>>,
+    ) -> Result<FragmentedLower> {
         let cuts = match fragments {
             Some(fcfg) => {
                 tukwila_optimizer::choose_cuts_traced(phys, ctx, fcfg, &self.config.trace)
             }
             None => Vec::new(),
         };
-        let fl = lower_fragmented(phys, &cuts, shared, false)?;
-        let fragments = fl.plan.fragment_count();
-        Ok(PhaseLowered {
-            run: fl.plan.into_run(),
-            join_nodes: fl.join_nodes,
-            table: fl.table,
-            post_project: fl.post_project,
-            fragments,
-        })
+        lower_fragmented(phys, &cuts, shared, false)
     }
 
     fn make_ctx(
@@ -392,15 +321,6 @@ impl CorrectiveExec {
         }
     }
 
-    /// Run to completion over the given sources.
-    pub fn run(&self, sources: &mut [Box<dyn Source>]) -> Result<CorrectiveReport> {
-        if self.wants_threaded() {
-            self.run_threaded(sources)
-        } else {
-            self.run_sequential(sources)
-        }
-    }
-
     /// The monitor's poll: re-optimize over the live catalog, recost the
     /// running plan, calibrate `unit_us` during the warmup phase, and
     /// decide whether the candidate is worth a switch.
@@ -414,7 +334,6 @@ impl CorrectiveExec {
         registry: &StateRegistry,
         timeline: &mut Timeline,
         phase: usize,
-        total_batches: u64,
         measured_cpu_us: f64,
     ) -> Result<Option<PhysPlan>> {
         let cfg = &self.config;
@@ -454,14 +373,6 @@ impl CorrectiveExec {
         if matches!(cfg.cpu, CpuCostModel::Measured) {
             timeline.charge_background(reopt_us);
         }
-        if std::env::var_os("TUKWILA_DEBUG").is_some() {
-            eprintln!(
-                "[monitor] batch {total_batches}: current {} cost {current_cost:.0}                          (total {current_total:.0}); candidate {} cost {:.0}",
-                current_phys.describe(),
-                candidate.describe(),
-                candidate.est_cost
-            );
-        }
         let switching = candidate.est_cost < cfg.switch_threshold * current_cost
             && current_cost > cfg.min_remaining_fraction * current_total
             && candidate.describe() != current_phys.describe();
@@ -484,264 +395,16 @@ impl CorrectiveExec {
         }
     }
 
-    /// The sequential corrective driver (the seed behavior): all
-    /// fragments on this thread, immediate exchange handoff.
-    fn run_sequential(&self, sources: &mut [Box<dyn Source>]) -> Result<CorrectiveReport> {
-        let catalog = Arc::new(SelectivityCatalog::new());
-        let registry = StateRegistry::new();
+    /// Run to completion over the given sources: the paper's corrective
+    /// loop, once, whatever the clock or threading. Each phase lowers the
+    /// current plan (fragment cuts chosen from the live catalog), spawns a
+    /// [`PhaseRun`] — threaded per [`CorrectiveConfig::threaded_fragments`] —
+    /// and sweeps its root inputs while the monitor re-optimizes. A switch
+    /// quiesces the run, seals it, registers its state, and respawns into
+    /// the new plan; stitch-up follows the last phase.
+    pub fn run(&self, sources: &mut [Box<dyn Source>]) -> Result<CorrectiveReport> {
         let cfg = &self.config;
-
-        let mut consumed_total: HashMap<u32, u64> = HashMap::new();
-        let mut consumed_phase: HashMap<u32, u64> = HashMap::new();
-        let mut calibrated: Option<f64> = None;
-        // Live copy of the fragmentation config: the warmup calibration
-        // repriced exchanges here affect every later phase's cuts.
-        let mut frag_cfg = cfg.fragments.clone();
-
-        // Phase 0 plan.
-        let optimizer = Optimizer::new(self.make_ctx(&catalog, &consumed_total, calibrated));
-        let mut current_phys: PhysPlan = match &cfg.initial_order {
-            Some(order) => optimizer.plan_with_order(&self.q, order)?,
-            None => optimizer.optimize(&self.q)?,
-        };
-        let mut lowered: PhaseLowered = self.lower_phase(
-            &current_phys,
-            &self.make_ctx(&catalog, &consumed_total, calibrated),
-            None,
-            frag_cfg.as_ref(),
-        )?;
-        let shared = lowered.table.clone();
-        let post_project = lowered.post_project.clone();
-
-        let mut phases: Vec<PhaseInfo> = Vec::new();
-        let mut phase_batches: u64 = 0;
-        let mut total_batches: u64 = 0;
-        let mut next_poll_at: u64 = cfg.warmup_batches.max(cfg.poll_every_batches);
-        let mut phase = 0usize;
-
-        let mut answers: Batch = Vec::new();
-        // The shared clock-mode accounting (virtual accumulator or wall
-        // clock) lives in exec::Timeline so this driver and SimDriver
-        // cannot drift apart on clock semantics.
-        let mut timeline = Timeline::new(cfg.clock.clone());
-        let mut eof: Vec<bool> = vec![false; sources.len()];
-        let trace = cfg.trace.clone();
-        timeline.resync();
-        trace.record_at(timeline.now_us(), SpanKind::Query.begin("corrective"));
-        trace.record_at(timeline.now_us(), SpanKind::Phase.begin("phase-0"));
-
-        loop {
-            timeline.resync();
-            let mut any_ready = false;
-            let mut next_ready: Option<u64> = None;
-            let mut all_done = true;
-            for (i, src) in sources.iter_mut().enumerate() {
-                if eof[i] {
-                    continue;
-                }
-                all_done = false;
-                match src.poll(timeline.now_us(), cfg.batch_size) {
-                    Poll::Ready(batch) => {
-                        any_ready = true;
-                        total_batches += 1;
-                        phase_batches += 1;
-                        let rel = src.rel_id();
-                        *consumed_total.entry(rel).or_insert(0) += batch.len() as u64;
-                        *consumed_phase.entry(rel).or_insert(0) += batch.len() as u64;
-                        let cost = charged_cost(cfg.cpu, &timeline, batch.len(), || {
-                            lowered.run.push_source(rel, &batch, &mut answers)
-                        })?;
-                        timeline.charge(cost);
-                    }
-                    Poll::Pending { next_ready_us } => {
-                        next_ready = Some(match next_ready {
-                            Some(n) => n.min(next_ready_us),
-                            None => next_ready_us,
-                        });
-                    }
-                    Poll::Eof => {
-                        eof[i] = true;
-                        let rel = src.rel_id();
-                        catalog.observe_source(
-                            rel,
-                            SourceProgress {
-                                tuples_read: consumed_total.get(&rel).copied().unwrap_or(0),
-                                fraction_read: Some(1.0),
-                                eof: true,
-                            },
-                        );
-                        let cost = charged_cost(cfg.cpu, &timeline, 0, || {
-                            lowered.run.finish_source(rel, &mut answers)
-                        })?;
-                        timeline.charge(cost);
-                    }
-                }
-            }
-            if all_done {
-                break;
-            }
-            if !any_ready {
-                if let Some(n) = next_ready {
-                    timeline.idle_toward(n);
-                }
-                continue;
-            }
-
-            // Monitor: poll the re-optimizer on schedule. (The batch
-            // counter advances by up-to-#sources per sweep, so the
-            // schedule is a moving threshold, not a divisibility test.)
-            if total_batches >= next_poll_at && phase + 1 < cfg.max_phases {
-                next_poll_at = total_batches + cfg.poll_every_batches;
-                self.update_catalog(
-                    &catalog,
-                    &lowered,
-                    sources,
-                    &consumed_total,
-                    &consumed_phase,
-                );
-                let measured_cpu_us = timeline.cpu_us();
-                let was_uncalibrated = calibrated.is_none();
-                let candidate = self.consider_switch(
-                    &catalog,
-                    &consumed_total,
-                    &mut calibrated,
-                    &current_phys,
-                    &registry,
-                    &mut timeline,
-                    phase,
-                    total_batches,
-                    measured_cpu_us,
-                )?;
-                if was_uncalibrated {
-                    if let Some(unit) = calibrated {
-                        // Warmup calibration just landed: re-derive the
-                        // delivery unit prices from the measured kernels
-                        // and push them into every pricing surface —
-                        // source-side hedge gates and the fragment
-                        // optimizer's exchange tax.
-                        let costs = DeliveryCosts::from_unit_us(unit);
-                        for src in sources.iter_mut() {
-                            src.recalibrate_delivery_costs(&costs);
-                        }
-                        if let Some(fc) = frag_cfg.as_mut() {
-                            fc.recalibrate(unit);
-                        }
-                    }
-                }
-                if let Some(candidate) = candidate {
-                    // Switch: seal the current phase, register its state,
-                    // resume into the new plan. Sealing covers *every*
-                    // fragment of the old plan — exchange handoff is
-                    // immediate in the sequential fragment run, so there
-                    // are no buffered in-flight exchange tuples to lose,
-                    // and state buffered on exchange leaves registers
-                    // under the producer subtree's signature.
-                    let fresh = self.lower_phase(
-                        &candidate,
-                        &self.make_ctx(&catalog, &consumed_total, calibrated),
-                        shared.clone(),
-                        frag_cfg.as_ref(),
-                    )?;
-                    let old = std::mem::replace(&mut lowered, fresh);
-                    let old_fragments = old.fragments;
-                    for state in old.run.seal() {
-                        if let Some(sig) = state.sig {
-                            registry.register(sig, phase, state.schema, state.structure);
-                        }
-                    }
-                    phases.push(PhaseInfo {
-                        plan: current_phys.describe(),
-                        batches: phase_batches,
-                        consumed: consumed_phase.clone(),
-                        fragments: old_fragments,
-                    });
-                    trace.record_at(
-                        timeline.now_us(),
-                        SpanKind::Phase.end(format!("phase-{phase}")),
-                    );
-                    current_phys = candidate;
-                    phase += 1;
-                    phase_batches = 0;
-                    consumed_phase.clear();
-                    trace.record_at(
-                        timeline.now_us(),
-                        SpanKind::Phase.begin(format!("phase-{phase}")),
-                    );
-                    // Sources already at EOF must close their ports in the
-                    // new plan too.
-                    let mut sink = Batch::new();
-                    for (i, src) in sources.iter().enumerate() {
-                        if eof[i] {
-                            lowered.run.finish_source(src.rel_id(), &mut sink)?;
-                        }
-                    }
-                    answers.extend(sink);
-                }
-            }
-        }
-
-        // Seal the final phase.
-        let nphases = phase + 1;
-        let final_lowered = lowered;
-        let final_fragments = final_lowered.fragments;
-        for state in final_lowered.run.seal() {
-            if let Some(sig) = state.sig {
-                registry.register(sig, phase, state.schema, state.structure);
-            }
-        }
-        phases.push(PhaseInfo {
-            plan: current_phys.describe(),
-            batches: phase_batches,
-            consumed: consumed_phase.clone(),
-            fragments: final_fragments,
-        });
-        trace.record_at(
-            timeline.now_us(),
-            SpanKind::Phase.end(format!("phase-{phase}")),
-        );
-        trace.record_at(timeline.now_us(), SpanKind::Query.end("corrective"));
-
-        self.stitch_and_finalize(
-            &current_phys,
-            &shared,
-            &post_project,
-            &registry,
-            nphases,
-            RunTotals {
-                timeline,
-                answers,
-                phases,
-                total_batches,
-                extra_cpu_us: 0,
-                calibrated_unit_us: calibrated,
-                exchange_stats: ExchangeTotals::default(),
-            },
-        )
-    }
-
-    /// The threaded corrective driver: producer fragments of every phase
-    /// plan race on their own threads while this loop polls the root
-    /// fragment's inputs (its base relations plus the exchange streams)
-    /// and the monitor re-optimizes; switches go through the quiesce
-    /// protocol.
-    fn run_threaded(&self, sources: &mut [Box<dyn Source>]) -> Result<CorrectiveReport> {
-        let cfg = &self.config;
-        let clock: Arc<dyn Clock> =
-            match &cfg.clock {
-                Some(c) if c.is_wall() => c.clone(),
-                _ => return Err(Error::Plan(
-                    "threaded corrective execution needs a wall clock (CorrectiveConfig::clock)"
-                        .into(),
-                )),
-            };
-        if cfg.fragments.is_none() {
-            return Err(Error::Plan(
-                "threaded corrective execution needs a fragmentation config \
-                 (CorrectiveConfig::fragments)"
-                    .into(),
-            ));
-        }
-
+        let producer_clock = self.phase_clock()?;
         let catalog = Arc::new(SelectivityCatalog::new());
         let registry = StateRegistry::new();
         let mut consumed_total: HashMap<u32, u64> = HashMap::new();
@@ -750,7 +413,7 @@ impl CorrectiveExec {
         // Live fragmentation config (exchange prices recalibrate when the
         // warmup calibration lands), plus the deferred source repricing:
         // producer-bound sources can only adopt new delivery costs at the
-        // next phase spawn, when this controller briefly owns them.
+        // next phase spawn, when this loop briefly owns them.
         let mut frag_cfg = cfg.fragments.clone();
         let mut pending_recal: Option<DeliveryCosts> = None;
 
@@ -761,10 +424,19 @@ impl CorrectiveExec {
             None => optimizer.optimize(&self.q)?,
         };
 
-        // Take every source out of the caller's slice; recovered sources
-        // go back into their slots before this returns (on success; an
+        let mut lowered = self.lower_phase(
+            &current_phys,
+            &self.make_ctx(&catalog, &consumed_total, calibrated),
+            frag_cfg.as_ref(),
+            None,
+        )?;
+        let shared_table = lowered.table.clone();
+        let post_project = lowered.post_project.clone();
+
+        // Every source moves into the phase runs; the recovered sources go
+        // back into the caller's slots before this returns (on success; an
         // error path leaves placeholders, but also no answer).
-        let mut avail: Vec<Option<Box<dyn Source>>> = sources
+        let mut avail: Vec<Box<dyn Source>> = sources
             .iter_mut()
             .map(|s| {
                 let placeholder: Box<dyn Source> = Box::new(TakenSource {
@@ -772,25 +444,31 @@ impl CorrectiveExec {
                     name: s.name().to_string(),
                     schema: s.schema().clone(),
                 });
-                Some(std::mem::replace(s, placeholder))
+                std::mem::replace(s, placeholder)
             })
             .collect();
+        // Sources (by slot) an earlier phase drained to EOF.
+        let mut exhausted = vec![false; avail.len()];
 
-        let mut shared_table: Option<Arc<SharedGroupTable>> = None;
-        let mut post_project: Option<(Vec<Expr>, Schema)> = None;
         let mut phases: Vec<PhaseInfo> = Vec::new();
         let mut phase_batches: u64 = 0;
-        // `total_batches` counts only the controller's own polls (it is
-        // the monitor's cadence counter); producer batches accumulate
-        // separately and join it for the final report.
+        // `total_batches` counts only this loop's own sweeps (it is the
+        // monitor's cadence counter); producer batches accumulate in
+        // `producers` and join it for the final report.
         let mut total_batches: u64 = 0;
-        let mut producer_batches_total: u64 = 0;
+        let mut producers = ExecReport::default();
+        let mut blocked: HashMap<u32, u64> = HashMap::new();
         let mut next_poll_at: u64 = cfg.warmup_batches.max(cfg.poll_every_batches);
         let mut phase = 0usize;
         let mut answers: Batch = Vec::new();
-        let mut timeline = Timeline::new(Some(clock.clone()));
-        let mut extra_cpu_us: u64 = 0;
-        let mut exchange_stats = ExchangeTotals::default();
+        // The shared clock-mode accounting (virtual accumulator or wall
+        // clock) lives in exec::Timeline so this loop and SimDriver cannot
+        // drift apart on clock semantics.
+        let mut timeline = Timeline::new(cfg.clock.clone());
+        let sweep = Sweep {
+            batch_size: cfg.batch_size,
+            cpu: cfg.cpu,
+        };
         let trace = cfg.trace.clone();
         // The fragment layer (producer spans, exchange counters, the park
         // sub-span) journals into the corrective sink unless the caller
@@ -799,77 +477,46 @@ impl CorrectiveExec {
         if !fopts.trace.is_enabled() {
             fopts.trace = trace.clone();
         }
-        trace.record_at(clock.now_us(), SpanKind::Query.begin("corrective"));
-        // Whether a quiesce span is open across the seal/respawn of a plan
-        // switch (it closes once the next phase's producers are running).
+        timeline.resync();
+        trace.record_at(timeline.now_us(), SpanKind::Query.begin("corrective"));
+        // Whether a quiesce span is open across the seal/respawn of a
+        // threaded plan switch (it closes once the next phase runs).
         let mut quiesce_open = false;
 
-        'phases: loop {
+        loop {
             // Sources recovered from the previous phase adopt the
             // recalibrated delivery prices before the new phase binds
             // them to producer threads.
             if let Some(costs) = pending_recal.take() {
-                for src in avail.iter_mut().flatten() {
+                for src in avail.iter_mut() {
                     src.recalibrate_delivery_costs(&costs);
                 }
             }
-            // Lower this phase with cuts chosen from the live catalog.
-            let ctx = self.make_ctx(&catalog, &consumed_total, calibrated);
-            let cuts = tukwila_optimizer::choose_cuts_traced(
-                &current_phys,
-                &ctx,
-                frag_cfg.as_ref().expect("checked above"),
-                &cfg.trace,
-            );
-            let fl = lower_fragmented(&current_phys, &cuts, shared_table.clone(), false)?;
-            if shared_table.is_none() {
-                shared_table = fl.table.clone();
-                post_project = fl.post_project.clone();
-            }
-            let phase_fragments = fl.plan.fragment_count();
-            let join_nodes = fl.join_nodes;
-
-            // Gather whatever sources are available and spawn the phase.
-            let mut slot_map: Vec<usize> = Vec::new();
-            let mut phase_sources: Vec<Box<dyn Source>> = Vec::new();
-            for (i, s) in avail.iter_mut().enumerate() {
-                if let Some(src) = s.take() {
-                    slot_map.push(i);
-                    phase_sources.push(src);
-                }
-            }
+            let phase_fragments = lowered.plan.fragment_count();
+            let join_nodes = std::mem::take(&mut lowered.join_nodes);
+            timeline.resync();
             if quiesce_open {
-                trace.record_at(clock.now_us(), SpanKind::Respawn.begin("respawn"));
+                trace.record_at(timeline.now_us(), SpanKind::Respawn.begin("respawn"));
             }
-            let (mut run, mut root_sources) = ThreadedFragmentRun::spawn(
-                fl.plan,
-                phase_sources,
-                clock.clone(),
-                cfg.batch_size,
-                cfg.cpu,
+            let mut run = PhaseRun::spawn(
+                lowered.plan,
+                std::mem::take(&mut avail),
+                producer_clock.clone(),
+                sweep,
                 &fopts,
             )?;
+            timeline.resync();
             if quiesce_open {
-                trace.record_at(clock.now_us(), SpanKind::Respawn.end("respawn"));
-                trace.record_at(clock.now_us(), SpanKind::Quiesce.end("switch"));
+                trace.record_at(timeline.now_us(), SpanKind::Respawn.end("respawn"));
+                trace.record_at(timeline.now_us(), SpanKind::Quiesce.end("switch"));
                 quiesce_open = false;
             }
             trace.record_at(
-                clock.now_us(),
+                timeline.now_us(),
                 SpanKind::Phase.begin(format!("phase-{phase}")),
             );
-            // Sources recovered from a sealed previous phase arrive with
-            // their delivery accounting still paused (their old producer
-            // quiesced them and sealing keeps the pause). Producer-bound
-            // sources are resumed by their new producer thread; the ones
-            // landing in the root fragment are polled by this controller,
-            // so resume them here (a no-op for fresh sources).
-            {
-                let now = clock.now_us();
-                for (_, src) in root_sources.iter_mut() {
-                    src.resume_delivery(now);
-                }
-            }
+            // Sources already at EOF close their ports in the new plan too.
+            run.close_exhausted(&exhausted, &mut answers)?;
             // Baselines for folding producer high-water marks into the
             // cross-phase consumed totals.
             let producer_base: HashMap<u32, u64> = run
@@ -886,242 +533,117 @@ impl CorrectiveExec {
                 .keys()
                 .map(|rel| (*rel, consumed_phase.get(rel).copied().unwrap_or(0)))
                 .collect();
-            let mut eof_root = vec![false; root_sources.len()];
-            let mut eof_ex: Vec<bool> = Vec::new();
 
-            let end: PhaseEnd = loop {
+            let switched: Option<PhysPlan> = loop {
                 timeline.resync();
-                let (any_ready, next_ready, all_done) = {
-                    let (pipeline, exchanges) = run.root_split();
-                    if eof_ex.is_empty() {
-                        eof_ex = vec![false; exchanges.len()];
-                    }
-                    let mut any_ready = false;
-                    let mut next_ready: Option<u64> = None;
-                    let mut all_done = true;
-                    for (i, (_, src)) in root_sources.iter_mut().enumerate() {
-                        if eof_root[i] {
-                            continue;
+                let swept = run.sweep(&mut timeline, &mut answers, |slot, src, polled| {
+                    let rel = src.rel_id();
+                    match polled {
+                        Some(n) => {
+                            *consumed_total.entry(rel).or_insert(0) += n as u64;
+                            *consumed_phase.entry(rel).or_insert(0) += n as u64;
                         }
-                        all_done = false;
-                        match src.poll(timeline.now_us(), cfg.batch_size) {
-                            Poll::Ready(batch) => {
-                                any_ready = true;
-                                total_batches += 1;
-                                phase_batches += 1;
-                                let rel = src.rel_id();
-                                *consumed_total.entry(rel).or_insert(0) += batch.len() as u64;
-                                *consumed_phase.entry(rel).or_insert(0) += batch.len() as u64;
-                                let cost = charged_cost(cfg.cpu, &timeline, batch.len(), || {
-                                    pipeline.push_source(rel, &batch, &mut answers)
-                                })?;
-                                timeline.charge(cost);
-                            }
-                            Poll::Pending { next_ready_us } => {
-                                next_ready = Some(match next_ready {
-                                    Some(n) => n.min(next_ready_us),
-                                    None => next_ready_us,
-                                });
-                            }
-                            Poll::Eof => {
-                                eof_root[i] = true;
-                                let rel = src.rel_id();
-                                catalog.observe_source(
-                                    rel,
-                                    SourceProgress {
-                                        tuples_read: consumed_total.get(&rel).copied().unwrap_or(0),
-                                        fraction_read: Some(1.0),
-                                        eof: true,
-                                    },
-                                );
-                                let cost = charged_cost(cfg.cpu, &timeline, 0, || {
-                                    pipeline.finish_source(rel, &mut answers)
-                                })?;
-                                timeline.charge(cost);
-                            }
+                        None => {
+                            exhausted[slot] = true;
+                            catalog.observe_source(
+                                rel,
+                                SourceProgress {
+                                    tuples_read: consumed_total.get(&rel).copied().unwrap_or(0),
+                                    fraction_read: Some(1.0),
+                                    eof: true,
+                                },
+                            );
                         }
                     }
-                    for (j, ex) in exchanges.iter_mut().enumerate() {
-                        if eof_ex[j] {
-                            continue;
-                        }
-                        all_done = false;
-                        // Columnar producer batches arrive as columns and
-                        // feed the vectorized operator entry directly; rows
-                        // (carry-buffer leftovers, row-mode producers) take
-                        // the row entry. No transpose on this path.
-                        match ex.poll_data(timeline.now_us(), cfg.batch_size) {
-                            ExchangePoll::Ready(batch) => {
-                                any_ready = true;
-                                total_batches += 1;
-                                phase_batches += 1;
-                                let rel = ex.rel_id();
-                                let cost =
-                                    charged_cost(
-                                        cfg.cpu,
-                                        &timeline,
-                                        batch.len(),
-                                        || match &batch {
-                                            DataBatch::Rows(b) => {
-                                                pipeline.push_source(rel, b, &mut answers)
-                                            }
-                                            DataBatch::Columns(c) => {
-                                                pipeline.push_source_columns(rel, c, &mut answers)
-                                            }
-                                        },
-                                    )?;
-                                timeline.charge(cost);
-                            }
-                            ExchangePoll::Pending { next_ready_us } => {
-                                next_ready = Some(match next_ready {
-                                    Some(n) => n.min(next_ready_us),
-                                    None => next_ready_us,
-                                });
-                            }
-                            ExchangePoll::Eof => {
-                                eof_ex[j] = true;
-                                let rel = ex.rel_id();
-                                let cost = charged_cost(cfg.cpu, &timeline, 0, || {
-                                    pipeline.finish_source(rel, &mut answers)
-                                })?;
-                                timeline.charge(cost);
-                            }
-                        }
-                    }
-                    (any_ready, next_ready, all_done)
-                };
-                if all_done {
-                    break PhaseEnd::Completed;
+                })?;
+                total_batches += swept.batches;
+                phase_batches += swept.batches;
+                if swept.all_done {
+                    break None;
                 }
-                if !any_ready {
-                    if let Some(n) = next_ready {
+                if !swept.any_ready {
+                    if let Some(n) = swept.next_ready_us {
                         timeline.idle_toward(n);
                     }
                     continue;
                 }
 
-                // Monitor: same cadence as the sequential driver, fed by
-                // the controller's own polls plus the producers' shared
-                // high-water marks and live fragment observations.
-                if total_batches >= next_poll_at && phase + 1 < cfg.max_phases {
-                    next_poll_at = total_batches + cfg.poll_every_batches;
-                    Self::refresh_producer_counts(
-                        &run,
-                        &producer_base,
-                        &phase_base,
-                        &mut consumed_total,
-                        &mut consumed_phase,
-                    );
-                    for (_, src) in root_sources.iter() {
-                        let p = src.progress();
-                        catalog.observe_source(
-                            src.rel_id(),
-                            SourceProgress {
-                                tuples_read: consumed_total
-                                    .get(&src.rel_id())
-                                    .copied()
-                                    .unwrap_or(0),
-                                fraction_read: p.fraction_read,
-                                eof: p.eof,
-                            },
-                        );
-                        if let Some(schedule) = src.observed_schedule() {
-                            catalog.observe_source_schedule(src.rel_id(), schedule);
-                        }
+                // Monitor: poll the re-optimizer on schedule. (The batch
+                // counter advances by up-to-#inputs per sweep, so the
+                // schedule is a moving threshold, not a divisibility test.)
+                if total_batches < next_poll_at || phase + 1 >= cfg.max_phases {
+                    continue;
+                }
+                next_poll_at = total_batches + cfg.poll_every_batches;
+                Self::refresh_producer_counts(
+                    &run,
+                    &producer_base,
+                    &phase_base,
+                    &mut consumed_total,
+                    &mut consumed_phase,
+                );
+                Self::update_catalog(
+                    &catalog,
+                    &mut run,
+                    &join_nodes,
+                    &consumed_total,
+                    &consumed_phase,
+                );
+                // Whole-run measured CPU: this loop's timeline plus the
+                // live producer-thread counters (plus prior phases'
+                // producer CPU) — same coverage as the cost-unit
+                // denominator of the warmup calibration.
+                let measured_cpu_us =
+                    timeline.cpu_us() + (producers.cpu_us + run.producer_cpu_us()) as f64;
+                let was_uncalibrated = calibrated.is_none();
+                let candidate = self.consider_switch(
+                    &catalog,
+                    &consumed_total,
+                    &mut calibrated,
+                    &current_phys,
+                    &registry,
+                    &mut timeline,
+                    phase,
+                    measured_cpu_us,
+                )?;
+                if let (true, Some(unit)) = (was_uncalibrated, calibrated) {
+                    // Warmup calibration just landed: re-derive the
+                    // delivery unit prices from the measured kernels and
+                    // push them into every pricing surface — the root's
+                    // sources now, producer-bound ones at the next spawn,
+                    // and the fragment optimizer's exchange tax.
+                    let costs = DeliveryCosts::from_unit_us(unit);
+                    for src in run.root_sources_mut() {
+                        src.recalibrate_delivery_costs(&costs);
                     }
-                    for progress in run.quiesce_handles().flat_map(|h| h.high_water_marks()) {
-                        catalog.observe_source(
-                            progress.rel_id(),
-                            SourceProgress {
-                                tuples_read: consumed_total
-                                    .get(&progress.rel_id())
-                                    .copied()
-                                    .unwrap_or(0),
-                                fraction_read: progress.fraction_read(),
-                                eof: progress.eof(),
-                            },
-                        );
-                        if let Some(schedule) = progress.schedule() {
-                            catalog.observe_source_schedule(progress.rel_id(), schedule);
-                        }
+                    if let Some(fc) = frag_cfg.as_mut() {
+                        fc.recalibrate(unit);
                     }
-                    Self::publish_plan_observations(
-                        &catalog,
-                        &run.observations(),
-                        &join_nodes,
-                        &consumed_phase,
-                    );
-                    // Whole-run measured CPU: the controller's timeline
-                    // plus the live producer-thread counters (plus prior
-                    // phases' producer CPU already folded into
-                    // extra_cpu_us) — same coverage as the cost-unit
-                    // denominator of the warmup calibration.
-                    let measured_cpu_us =
-                        timeline.cpu_us() + (extra_cpu_us + run.producer_cpu_us()) as f64;
-                    let was_uncalibrated = calibrated.is_none();
-                    let candidate = self.consider_switch(
-                        &catalog,
-                        &consumed_total,
-                        &mut calibrated,
-                        &current_phys,
-                        &registry,
-                        &mut timeline,
-                        phase,
-                        total_batches,
-                        measured_cpu_us,
-                    )?;
-                    if was_uncalibrated {
-                        if let Some(unit) = calibrated {
-                            // Calibration landed: reprice exchanges for
-                            // every later phase's cuts, reprice the root
-                            // fragment's own sources now, and queue the
-                            // repricing for producer-bound sources (they
-                            // adopt it when recovered at the next spawn).
-                            let costs = DeliveryCosts::from_unit_us(unit);
-                            for (_, src) in root_sources.iter_mut() {
-                                src.recalibrate_delivery_costs(&costs);
-                            }
-                            if let Some(fc) = frag_cfg.as_mut() {
-                                fc.recalibrate(unit);
-                            }
-                            pending_recal = Some(costs);
-                        }
+                    pending_recal = Some(costs);
+                }
+                if let Some(candidate) = candidate {
+                    // Quiesce: every producer parks at a batch boundary
+                    // (a sequential run already is at one). If one cannot
+                    // (wedged source), resume and abandon this switch —
+                    // correctness over adaptivity.
+                    if run.is_threaded() {
+                        trace.record_at(timeline.now_us(), SpanKind::Quiesce.begin("switch"));
                     }
-                    if let Some(candidate) = candidate {
-                        // Pause delivery accounting on the controller's
-                        // own sources too: the quiesce-wait + seal +
-                        // respawn window stops polling them exactly like
-                        // the producers' sources, and a root-owned
-                        // federated mirror must not read that silence as
-                        // a stall or its queue backpressure as consumer
-                        // saturation. (The next phase resumes them right
-                        // after spawn; producer-bound ones are resumed by
-                        // their new producer thread.)
-                        for (_, src) in root_sources.iter_mut() {
-                            src.quiesce_delivery();
-                        }
-                        // Quiesce: every producer parks at a batch
-                        // boundary. If one cannot (wedged source), resume
-                        // and abandon this switch — correctness over
-                        // adaptivity.
-                        trace.record_at(clock.now_us(), SpanKind::Quiesce.begin("switch"));
-                        if run.quiesce() {
-                            quiesce_open = true;
-                            break PhaseEnd::Switched(Box::new(candidate));
-                        }
-                        trace.record_at(clock.now_us(), SpanKind::Quiesce.end("switch"));
-                        run.resume();
-                        let now = clock.now_us();
-                        for (_, src) in root_sources.iter_mut() {
-                            src.resume_delivery(now);
-                        }
+                    if run.quiesce() {
+                        quiesce_open = run.is_threaded();
+                        break Some(candidate);
                     }
+                    timeline.resync();
+                    trace.record_at(timeline.now_us(), SpanKind::Quiesce.end("switch"));
+                    run.resume();
                 }
             };
 
             // Seal the phase (switch or completion): join the producers,
             // drain every exchange's in-flight tuples into the old plan,
-            // register the sealed state, recover the sources.
+            // register the sealed state — state buffered on exchange
+            // leaves registers under the producer subtree's signature —
+            // and recover the sources.
             Self::refresh_producer_counts(
                 &run,
                 &producer_base,
@@ -1129,81 +651,132 @@ impl CorrectiveExec {
                 &mut consumed_total,
                 &mut consumed_phase,
             );
-            let mut sink = Batch::new();
-            let outcome = run.seal(&mut sink)?;
-            answers.extend(sink);
-            extra_cpu_us += outcome.producer_cpu_us;
-            exchange_stats.absorb(outcome.max_queue_depth, &outcome.blocked_by_exchange);
+            // The next phase's plan lowers with cuts chosen from the live
+            // catalog, before the seal hands the sources back.
+            let next = match switched {
+                Some(candidate) => {
+                    let ctx = self.make_ctx(&catalog, &consumed_total, calibrated);
+                    let fl = self.lower_phase(
+                        &candidate,
+                        &ctx,
+                        frag_cfg.as_ref(),
+                        shared_table.clone(),
+                    )?;
+                    Some((candidate, fl))
+                }
+                None => None,
+            };
+            let outcome = run.seal(&mut answers)?;
+            producers.cpu_us += outcome.producer_cpu_us;
+            producers.max_queue_depth = producers.max_queue_depth.max(outcome.max_queue_depth);
+            for (id, n) in outcome.blocked_by_exchange {
+                *blocked.entry(id).or_insert(0) += n;
+            }
             // Producer batches count toward reporting only — folding them
             // into `total_batches` (the monitor's cadence counter) would
             // blow past `next_poll_at` and fire the next phase's first
             // monitor poll on one batch of evidence.
             phase_batches += outcome.producer_batches;
-            producer_batches_total += outcome.producer_batches;
+            producers.batches += outcome.producer_batches;
             for state in outcome.states {
                 if let Some(sig) = state.sig {
                     registry.register(sig, phase, state.schema, state.structure);
                 }
             }
-            for (pslot, src) in outcome.sources {
-                avail[slot_map[pslot]] = Some(src);
-            }
-            for (pslot, src) in root_sources {
-                avail[slot_map[pslot]] = Some(src);
-            }
+            avail = outcome.sources.into_iter().map(|(_, src)| src).collect();
             phases.push(PhaseInfo {
                 plan: current_phys.describe(),
                 batches: phase_batches,
                 consumed: consumed_phase.clone(),
                 fragments: phase_fragments,
             });
+            timeline.resync();
             trace.record_at(
-                clock.now_us(),
+                timeline.now_us(),
                 SpanKind::Phase.end(format!("phase-{phase}")),
             );
-            match end {
-                PhaseEnd::Completed => break 'phases,
-                PhaseEnd::Switched(candidate) => {
-                    current_phys = *candidate;
-                    phase += 1;
-                    phase_batches = 0;
-                    consumed_phase.clear();
-                }
-            }
+            let Some((candidate, fl)) = next else { break };
+            current_phys = candidate;
+            lowered = fl;
+            phase += 1;
+            phase_batches = 0;
+            consumed_phase.clear();
         }
 
         // Restore the caller's sources (every phase returned its loans).
-        for (i, s) in avail.into_iter().enumerate() {
-            if let Some(src) = s {
-                sources[i] = src;
-            }
+        for (slot, src) in sources.iter_mut().zip(avail) {
+            *slot = src;
         }
+        trace.record_at(timeline.now_us(), SpanKind::Query.end("corrective"));
 
-        trace.record_at(clock.now_us(), SpanKind::Query.end("corrective"));
-        let nphases = phase + 1;
-        self.stitch_and_finalize(
+        let (stitch, stitch_us) = self.stitch_up(
             &current_phys,
             &shared_table,
-            &post_project,
             &registry,
-            nphases,
-            RunTotals {
-                timeline,
-                answers,
-                phases,
-                total_batches: total_batches + producer_batches_total,
-                extra_cpu_us,
-                calibrated_unit_us: calibrated,
-                exchange_stats,
+            phases.len(),
+            &mut timeline,
+            &mut answers,
+        )?;
+        let rows = match &shared_table {
+            Some(t) => apply_post_project(t.finalize(), &post_project)?,
+            None => answers,
+        };
+        let reuse = if phases.len() > 1 {
+            registry.reuse_stats()
+        } else {
+            ReuseStats::default()
+        };
+        let mut blocked_by_exchange: Vec<(u32, u64)> = blocked.into_iter().collect();
+        blocked_by_exchange.sort_unstable();
+        Ok(CorrectiveReport {
+            phases,
+            exec: ExecReport {
+                virtual_us: timeline.clock_us() as u64,
+                cpu_us: timeline.cpu_us() as u64 + producers.cpu_us,
+                idle_us: timeline.idle_us() as u64,
+                tuples_out: rows.len() as u64,
+                batches: total_batches + producers.batches,
+                max_queue_depth: producers.max_queue_depth,
+                blocked_by_exchange,
             },
-        )
+            stitch_us,
+            stitch,
+            reuse,
+            rows,
+            calibrated_unit_us: calibrated,
+        })
+    }
+
+    /// The wall clock a threaded run spawns its producer fragments on, or
+    /// `None` for sequential phases. Threaded execution needs both a wall
+    /// clock and a fragmentation config.
+    fn phase_clock(&self) -> Result<Option<Arc<dyn Clock>>> {
+        if !self.wants_threaded() {
+            return Ok(None);
+        }
+        let clock =
+            match &self.config.clock {
+                Some(c) if c.is_wall() => c.clone(),
+                _ => return Err(Error::Plan(
+                    "threaded corrective execution needs a wall clock (CorrectiveConfig::clock)"
+                        .into(),
+                )),
+            };
+        if self.config.fragments.is_none() {
+            return Err(Error::Plan(
+                "threaded corrective execution needs a fragmentation config \
+                 (CorrectiveConfig::fragments)"
+                    .into(),
+            ));
+        }
+        Ok(Some(clock))
     }
 
     /// Fold the producers' shared high-water marks into the cross-phase
-    /// consumed counters (the controller never polls producer-owned
-    /// relations itself).
+    /// consumed counters (the root never polls producer-owned relations
+    /// itself).
     fn refresh_producer_counts(
-        run: &ThreadedFragmentRun,
+        run: &PhaseRun,
         producer_base: &HashMap<u32, u64>,
         phase_base: &HashMap<u32, u64>,
         consumed_total: &mut HashMap<u32, u64>,
@@ -1220,27 +793,19 @@ impl CorrectiveExec {
         }
     }
 
-    /// The stitch-up phase and report assembly shared by both drivers.
-    fn stitch_and_finalize(
+    /// The stitch-up phase (§4.3): combine the registered state of every
+    /// phase, charging its cost to the timeline. Returns the stitch-up
+    /// statistics and its timeline µs.
+    fn stitch_up(
         &self,
         current_phys: &PhysPlan,
         shared: &Option<Arc<SharedGroupTable>>,
-        post_project: &Option<(Vec<Expr>, Schema)>,
         registry: &StateRegistry,
         nphases: usize,
-        totals: RunTotals,
-    ) -> Result<CorrectiveReport> {
+        timeline: &mut Timeline,
+        answers: &mut Batch,
+    ) -> Result<(StitchUpStats, u64)> {
         let cfg = &self.config;
-        let RunTotals {
-            mut timeline,
-            mut answers,
-            phases,
-            total_batches,
-            extra_cpu_us,
-            calibrated_unit_us,
-            exchange_stats,
-        } = totals;
-
         let stitch_start_clock = timeline.clock_us();
         let mut stitch = StitchUpStats::default();
         if nphases > 1 {
@@ -1286,55 +851,29 @@ impl CorrectiveExec {
             timeline.resync();
         }
         let stitch_us = (timeline.clock_us() - stitch_start_clock) as u64;
-
-        // Finalize.
-        let rows = match shared {
-            Some(t) => apply_post_project(t.finalize(), post_project)?,
-            None => std::mem::take(&mut answers),
-        };
-
-        let reuse = if nphases > 1 {
-            registry.reuse_stats()
-        } else {
-            ReuseStats::default()
-        };
-        Ok(CorrectiveReport {
-            phases,
-            exec: ExecReport {
-                virtual_us: timeline.clock_us() as u64,
-                cpu_us: timeline.cpu_us() as u64 + extra_cpu_us,
-                idle_us: timeline.idle_us() as u64,
-                tuples_out: rows.len() as u64,
-                batches: total_batches,
-                max_queue_depth: exchange_stats.max_queue_depth,
-                blocked_by_exchange: exchange_stats.blocked_by_exchange(),
-            },
-            stitch_us,
-            stitch,
-            reuse,
-            rows,
-            calibrated_unit_us,
-        })
+        Ok((stitch, stitch_us))
     }
 
-    /// Push the current plan's observations into the shared catalog
-    /// (paper §3.3 / §4.2). Observations span every fragment of the phase
-    /// plan — node ids are plan-wide, so the multiplicative-join flags
-    /// keep working across exchange boundaries.
+    /// Push the running phase's observations into the shared catalog
+    /// (paper §3.3 / §4.2): progress of the sources the root polls, the
+    /// producers' high-water marks for the ones it does not, and the
+    /// plan's operator observations. Observations span every fragment of
+    /// the phase plan — node ids are plan-wide, so the multiplicative-join
+    /// flags keep working across exchange boundaries.
     fn update_catalog(
-        &self,
         catalog: &Arc<SelectivityCatalog>,
-        lowered: &PhaseLowered,
-        sources: &[Box<dyn Source>],
+        run: &mut PhaseRun,
+        join_nodes: &[(usize, u64)],
         consumed_total: &HashMap<u32, u64>,
         consumed_phase: &HashMap<u32, u64>,
     ) {
-        for src in sources.iter() {
+        let tuples_read = |rel: u32| consumed_total.get(&rel).copied().unwrap_or(0);
+        for src in run.root_sources_mut().iter() {
             let p = src.progress();
             catalog.observe_source(
                 src.rel_id(),
                 SourceProgress {
-                    tuples_read: consumed_total.get(&src.rel_id()).copied().unwrap_or(0),
+                    tuples_read: tuples_read(src.rel_id()),
                     fraction_read: p.fraction_read,
                     eof: p.eof,
                 },
@@ -1349,20 +888,26 @@ impl CorrectiveExec {
                 catalog.observe_source_schedule(src.rel_id(), schedule);
             }
         }
-        Self::publish_plan_observations(
-            catalog,
-            &lowered.run.observations(),
-            &lowered.join_nodes,
-            consumed_phase,
-        );
+        for progress in run.quiesce_handles().flat_map(|h| h.high_water_marks()) {
+            catalog.observe_source(
+                progress.rel_id(),
+                SourceProgress {
+                    tuples_read: tuples_read(progress.rel_id()),
+                    fraction_read: progress.fraction_read(),
+                    eof: progress.eof(),
+                },
+            );
+            if let Some(schedule) = progress.schedule() {
+                catalog.observe_source_schedule(progress.rel_id(), schedule);
+            }
+        }
+        Self::publish_plan_observations(catalog, &run.observations(), join_nodes, consumed_phase);
     }
 
     /// The plan-shaped half of a catalog update: observed selectivities
     /// per logical signature and multiplicative-join flags, computed from
-    /// operator counter snapshots. Shared by the sequential driver (whose
-    /// `FragmentRun` it owns) and the threaded driver (whose fragments
-    /// live on producer threads — the observations' counters are shared
-    /// atomics, so the monitor reads them live).
+    /// operator counter snapshots (shared atomics, so the monitor reads
+    /// fragments on producer threads live).
     fn publish_plan_observations(
         catalog: &Arc<SelectivityCatalog>,
         observations: &[NodeObservation],

@@ -289,7 +289,7 @@ pub struct FragmentedLower {
     /// fragment when no cuts were requested.
     pub plan: tukwila_exec::FragmentPlan,
     /// `(plan-wide node index, join predicate id)` across every fragment,
-    /// matching [`tukwila_exec::FragmentRun::observations`] numbering.
+    /// matching [`tukwila_exec::PhaseRun::observations`] numbering.
     pub join_nodes: Vec<(usize, u64)>,
     /// The shared group table (when the query aggregates) — lives in the
     /// root fragment.

@@ -1,6 +1,7 @@
-//! Single-plan execution against sources. (The adaptive, multi-phase
-//! driver lives in `tukwila-core`; this one runs the static baselines and
-//! the inner loop of tests.)
+//! Single-plan execution against sources, and the one poll sweep
+//! ([`Sweep`]) every batch driver runs: this one (static baselines, the
+//! inner loop of tests), each producer fragment thread, and the adaptive
+//! multi-phase loop in `tukwila-core`.
 //!
 //! The driver runs in one of two clock modes:
 //!
@@ -17,16 +18,17 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use tukwila_relation::{Result, Tuple};
+use tukwila_relation::{ColumnarBatch, Result, Tuple};
 use tukwila_source::{Poll, Source};
 use tukwila_stats::trace::SpanKind;
 use tukwila_stats::{Clock, TraceSink};
 
+use crate::fragments::{ExchangePoll, ExchangeSource};
 use crate::metrics::ExecReport;
-use crate::op::Batch;
+use crate::op::{Batch, DataBatch};
 use crate::plan::PipelinePlan;
 
-/// Anything the round-robin driver can feed source batches into: a single
+/// Anything the sweep can feed source batches into: a single
 /// [`PipelinePlan`], or a [`crate::fragments::FragmentRun`] that routes
 /// each batch to the fragment owning its relation and pumps produced
 /// batches across exchange boundaries.
@@ -34,22 +36,32 @@ pub trait PushTarget {
     /// Push a source batch for `rel_id`; root output lands in `out`.
     fn push_source(&mut self, rel_id: u32, batch: &[Tuple], out: &mut Batch) -> Result<()>;
 
+    /// Push a columnar batch for `rel_id` (an exchange stream shipping
+    /// columns) into the vectorized operator entry; root output lands in
+    /// `out`.
+    fn push_source_columns(
+        &mut self,
+        rel_id: u32,
+        batch: &ColumnarBatch,
+        out: &mut Batch,
+    ) -> Result<()>;
+
     /// Signal EOF of source `rel_id`, flushing whatever that closes.
     fn finish_source(&mut self, rel_id: u32, out: &mut Batch) -> Result<()>;
-
-    /// Ship output buffered by the preceding push/finish. The driver
-    /// calls this *outside* the charged CPU section, so targets whose
-    /// delivery can block (a producer fragment sending into a bounded
-    /// exchange queue) park their batches during push and send them
-    /// here — backpressure wait must not be billed as CPU.
-    fn ship(&mut self) -> Result<()> {
-        Ok(())
-    }
 }
 
 impl PushTarget for PipelinePlan {
     fn push_source(&mut self, rel_id: u32, batch: &[Tuple], out: &mut Batch) -> Result<()> {
         PipelinePlan::push_source(self, rel_id, batch, out)
+    }
+
+    fn push_source_columns(
+        &mut self,
+        rel_id: u32,
+        batch: &ColumnarBatch,
+        out: &mut Batch,
+    ) -> Result<()> {
+        PipelinePlan::push_source_columns(self, rel_id, batch, out)
     }
 
     fn finish_source(&mut self, rel_id: u32, out: &mut Batch) -> Result<()> {
@@ -240,83 +252,56 @@ impl SimDriver {
     }
 
     /// [`SimDriver::run`] generalized over [`PushTarget`]: the same
-    /// poll/push/idle loop drives a single pipeline, one fragment of a
-    /// threaded fragment plan, or a whole fragmented plan sequentially.
+    /// poll/push/idle loop drives a single pipeline or a whole fragmented
+    /// plan sequentially.
     pub fn run_target(
         &self,
         plan: &mut dyn PushTarget,
         sources: &mut [Box<dyn Source>],
     ) -> Result<(Batch, ExecReport)> {
-        let mut refs: Vec<&mut dyn Source> = sources
-            .iter_mut()
-            .map(|b| &mut **b as &mut dyn Source)
-            .collect();
-        self.run_target_refs(plan, &mut refs)
+        let mut done = vec![false; sources.len()];
+        let sweep = self.sweep();
+        self.drive(|timeline, out| {
+            let inputs = Inputs {
+                sources: &mut *sources,
+                exchanges: &mut [],
+                done: &mut done,
+            };
+            sweep.run(timeline, &mut *plan, inputs, out, |_, _, _| {})
+        })
     }
 
-    /// [`SimDriver::run_target`] over borrowed sources, so callers can
-    /// assemble one poll set from differently-owned collections (the
-    /// threaded fragment runner mixes the caller's base-relation sources
-    /// with the exchange sources it owns itself).
-    pub fn run_target_refs(
+    /// The sweep parameters of this driver.
+    pub(crate) fn sweep(&self) -> Sweep {
+        Sweep {
+            batch_size: self.batch_size,
+            cpu: self.cpu,
+        }
+    }
+
+    /// The driver loop: sweep until every input is done, idling toward
+    /// the next arrival whenever a sweep found nothing ready. Returns root
+    /// output and the report (`cpu_us`, `idle_us`, `virtual_us`,
+    /// `batches`, `tuples_out`), bracketed in a [`SpanKind::Drive`] span.
+    pub(crate) fn drive(
         &self,
-        plan: &mut dyn PushTarget,
-        sources: &mut [&mut dyn Source],
+        mut step: impl FnMut(&mut Timeline, &mut Batch) -> Result<SweepOutcome>,
     ) -> Result<(Batch, ExecReport)> {
         let mut out = Batch::new();
         let mut report = ExecReport::default();
         let mut timeline = Timeline::new(self.clock.clone());
-        let mut finished = vec![false; sources.len()];
         timeline.resync();
         self.trace
             .record_at(timeline.now_us(), SpanKind::Drive.begin("drive"));
-
         loop {
             timeline.resync();
-            let mut any_ready = false;
-            let mut next_ready: Option<u64> = None;
-            let mut all_done = true;
-            for (i, src) in sources.iter_mut().enumerate() {
-                if finished[i] {
-                    continue;
-                }
-                all_done = false;
-                match src.poll(timeline.now_us(), self.batch_size) {
-                    Poll::Ready(batch) => {
-                        any_ready = true;
-                        report.batches += 1;
-                        let cost = charged_cost(self.cpu, &timeline, batch.len(), || {
-                            plan.push_source(src.rel_id(), &batch, &mut out)
-                        })?;
-                        timeline.charge(cost);
-                        // Possibly-blocking delivery happens uncharged;
-                        // the next resync reads whatever real time the
-                        // backpressure wait consumed.
-                        plan.ship()?;
-                        timeline.resync();
-                    }
-                    Poll::Pending { next_ready_us } => {
-                        next_ready = Some(match next_ready {
-                            Some(n) => n.min(next_ready_us),
-                            None => next_ready_us,
-                        });
-                    }
-                    Poll::Eof => {
-                        finished[i] = true;
-                        let cost = charged_cost(self.cpu, &timeline, 0, || {
-                            plan.finish_source(src.rel_id(), &mut out)
-                        })?;
-                        timeline.charge(cost);
-                        plan.ship()?;
-                        timeline.resync();
-                    }
-                }
-            }
-            if all_done {
+            let swept = step(&mut timeline, &mut out)?;
+            report.batches += swept.batches;
+            if swept.all_done {
                 break;
             }
-            if !any_ready {
-                if let Some(n) = next_ready {
+            if !swept.any_ready {
+                if let Some(n) = swept.next_ready_us {
                     timeline.idle_toward(n);
                 }
             }
@@ -347,6 +332,144 @@ impl SimDriver {
             self.trace.record_at(now, SpanKind::Drive.end("drive"));
         }
         Ok((out, report))
+    }
+}
+
+/// The inputs one driver loop polls — base-relation sources plus the
+/// exchange streams of a consumer fragment — and their EOF flags
+/// (`done`: sources first, then exchanges).
+pub(crate) struct Inputs<'a> {
+    /// Base-relation sources.
+    pub(crate) sources: &'a mut [Box<dyn Source>],
+    /// Exchange streams, always read representation-preserving through
+    /// [`ExchangeSource::poll_data`].
+    pub(crate) exchanges: &'a mut [ExchangeSource],
+    /// One flag per source, then one per exchange; set at EOF.
+    pub(crate) done: &'a mut [bool],
+}
+
+/// What one [`Sweep`] over a driver's inputs saw.
+#[derive(Debug, Clone, Copy)]
+pub struct SweepOutcome {
+    /// Batches pushed during the sweep (sources and exchanges).
+    pub batches: u64,
+    /// Whether any input had data.
+    pub any_ready: bool,
+    /// Earliest next-ready instant among the pending inputs.
+    pub next_ready_us: Option<u64>,
+    /// Whether every input reached EOF.
+    pub all_done: bool,
+}
+
+/// The one poll/push/EOF sweep every batch driver runs: `SimDriver`, the
+/// producer fragment threads, and the corrective phase loop.
+#[derive(Debug, Clone, Copy)]
+pub struct Sweep {
+    /// Maximum tuples pulled from an input per poll.
+    pub batch_size: usize,
+    /// How the pushes are charged to the timeline.
+    pub cpu: CpuCostModel,
+}
+
+impl Sweep {
+    /// Poll each unfinished input once. Ready rows go through
+    /// [`PushTarget::push_source`], ready exchange columns through
+    /// [`PushTarget::push_source_columns`]; EOF closes the input with
+    /// [`PushTarget::finish_source`]. Each push is charged to `timeline`,
+    /// which then resyncs.
+    /// `on_source(i, source, polled)` reports every base-relation event:
+    /// `Some(tuples)` after a pushed batch, `None` at EOF.
+    pub(crate) fn run<T: PushTarget + ?Sized>(
+        self,
+        timeline: &mut Timeline,
+        target: &mut T,
+        inputs: Inputs<'_>,
+        out: &mut Batch,
+        mut on_source: impl FnMut(usize, &dyn Source, Option<usize>),
+    ) -> Result<SweepOutcome> {
+        let mut swept = SweepOutcome {
+            batches: 0,
+            any_ready: false,
+            next_ready_us: None,
+            all_done: true,
+        };
+        let (src_done, ex_done) = inputs.done.split_at_mut(inputs.sources.len());
+        for (i, src) in inputs.sources.iter_mut().enumerate() {
+            if src_done[i] {
+                continue;
+            }
+            swept.all_done = false;
+            let rel = src.rel_id();
+            let polled = match src.poll(timeline.now_us(), self.batch_size) {
+                Poll::Ready(batch) => {
+                    self.push(timeline, batch.len(), || {
+                        target.push_source(rel, &batch, out)
+                    })?;
+                    swept.note_ready();
+                    Some(batch.len())
+                }
+                Poll::Pending { next_ready_us } => {
+                    swept.note_pending(next_ready_us);
+                    continue;
+                }
+                Poll::Eof => {
+                    src_done[i] = true;
+                    self.push(timeline, 0, || target.finish_source(rel, out))?;
+                    None
+                }
+            };
+            on_source(i, src.as_ref(), polled);
+        }
+        for (j, ex) in inputs.exchanges.iter_mut().enumerate() {
+            if ex_done[j] {
+                continue;
+            }
+            swept.all_done = false;
+            let rel = ex.exchange_id();
+            match ex.poll_data(timeline.now_us(), self.batch_size) {
+                ExchangePoll::Ready(batch) => {
+                    self.push(timeline, batch.len(), || match &batch {
+                        DataBatch::Rows(b) => target.push_source(rel, b, out),
+                        DataBatch::Columns(c) => target.push_source_columns(rel, c, out),
+                    })?;
+                    swept.note_ready();
+                }
+                ExchangePoll::Pending { next_ready_us } => swept.note_pending(next_ready_us),
+                ExchangePoll::Eof => {
+                    ex_done[j] = true;
+                    self.push(timeline, 0, || target.finish_source(rel, out))?;
+                }
+            }
+        }
+        Ok(swept)
+    }
+
+    /// Run one push/finish and charge it to the timeline.
+    fn push(
+        self,
+        timeline: &mut Timeline,
+        tuples: usize,
+        f: impl FnOnce() -> Result<()>,
+    ) -> Result<()> {
+        let cost = charged_cost(self.cpu, timeline, tuples, f)?;
+        timeline.charge(cost);
+        // A shared clock advanced on its own while the push ran.
+        timeline.resync();
+        Ok(())
+    }
+}
+
+impl SweepOutcome {
+    fn note_ready(&mut self) {
+        self.any_ready = true;
+        self.batches += 1;
+    }
+
+    fn note_pending(&mut self, next_ready_us: u64) {
+        self.next_ready_us = Some(match self.next_ready_us {
+            Some(n) => n.min(next_ready_us),
+            None => next_ready_us,
+        });
     }
 }
 
@@ -439,10 +562,13 @@ mod tests {
             bytes_per_sec: 2e6,
             initial_latency_us: 20_000, // 20 timeline ms up front
         };
+        // Anchored schedules start at the first poll, so a descheduled
+        // test thread cannot reach its first poll after the arrivals and
+        // skip the wait this test is about.
         let mk = || -> Vec<Box<dyn Source>> {
             vec![
-                Box::new(DelayedSource::new(1, "l", schema("l"), tuples(100), &model)),
-                Box::new(DelayedSource::new(2, "r", schema("r"), tuples(100), &model)),
+                Box::new(DelayedSource::new(1, "l", schema("l"), tuples(100), &model).anchored()),
+                Box::new(DelayedSource::new(2, "r", schema("r"), tuples(100), &model).anchored()),
             ]
         };
         let mut plan_v = join_plan();

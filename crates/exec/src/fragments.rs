@@ -1,28 +1,31 @@
-//! Threaded plan fragments: racing parallel subplans over
-//! [`queue_pair`](crate::queue::queue_pair()) (the §5 parallel-subplan
-//! configuration).
+//! Plan fragments and the one phase executor, [`PhaseRun`] (the §5
+//! parallel-subplan configuration).
 //!
 //! A [`FragmentPlan`] is an operator tree split into *pipeline fragments*
 //! at **exchange** boundaries. Each fragment is an ordinary
 //! [`PipelinePlan`] whose leaves bind either real source relations or
 //! exchange streams (identified by synthetic relation ids at
 //! [`EXCHANGE_REL_BASE`]); a fragment's root output feeds the consumer
-//! fragment's exchange leaf. The same fragment plan executes in both
-//! modes of the dual-clock design:
+//! fragment's exchange leaf.
 //!
-//! * **Sequential** ([`FragmentRun`], [`SimDriver::run_fragments_sequential`]):
-//!   all fragments run on the driver thread; a batch produced by one
-//!   fragment is pushed into its consumer immediately, so the execution
-//!   is byte-for-byte the cascade of the unfragmented plan —
-//!   deterministic under a [`tukwila_stats::VirtualClock`] and
-//!   seed-compatible.
-//! * **Threaded** ([`SimDriver::run_fragments_threaded`]): every producer
-//!   fragment runs on its own thread, shipping root output through a
-//!   bounded [`queue_pair`](crate::queue::queue_pair()) queue that the
-//!   consumer reads as an ordinary [`Source`] ([`ExchangeSource`]). A
-//!   CPU-heavy join subtree then genuinely overlaps a slow federated
-//!   scan — the driver thread can block on a delivery-bound relation
-//!   while another core burns through the build side.
+//! A [`PhaseRun`] executes one fragment plan, in either mode of the
+//! dual-clock design, with the same controller-side loop: the caller
+//! sweeps the *root inputs* ([`PhaseRun::sweep`]), may quiesce, and
+//! finally seals.
+//!
+//! * **Sequential** (no clock; every virtual-clock run): zero producer
+//!   threads. The whole plan is the root — a [`FragmentRun`] that pushes a
+//!   batch produced by one fragment into its consumer immediately — and
+//!   every source is a root source. The execution is byte-for-byte the
+//!   cascade of the unfragmented plan, deterministic under a
+//!   [`tukwila_stats::VirtualClock`]; `quiesce` succeeds at once.
+//! * **Threaded** (a wall clock): every producer fragment runs the same
+//!   sweep on its own thread, shipping root output through a bounded
+//!   [`queue_pair`](crate::queue::queue_pair()) queue that the consumer
+//!   reads through an [`ExchangeSource`]. A CPU-heavy join subtree then
+//!   genuinely overlaps a slow federated scan — the driver thread can
+//!   block on a delivery-bound relation while another core burns through
+//!   the build side.
 //!
 //! ## EOF, shutdown, and panic semantics
 //!
@@ -38,22 +41,22 @@
 //!   up the queues; blocked producers error out of their send and exit,
 //!   and every thread is joined before the driver returns.
 //! * A panicking producer thread also drops its writer, which at the
-//!   queue level is indistinguishable from clean EOF. The driver
-//!   therefore joins every fragment thread before returning and
-//!   re-raises the first panic on the calling thread, so a dying
-//!   fragment reads as a failure — never as a silently truncated answer.
+//!   queue level is indistinguishable from clean EOF. The run therefore
+//!   joins every fragment thread before returning and re-raises the
+//!   first panic on the calling thread, so a dying fragment reads as a
+//!   failure — never as a silently truncated answer.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use tukwila_relation::{Error, Result, Schema, Tuple};
-use tukwila_source::{Poll, Source, SourceDescriptor, SourceProgressView};
+use tukwila_relation::{ColumnarBatch, Error, Result, Schema, Tuple};
+use tukwila_source::Source;
 use tukwila_stats::trace::SpanKind;
 use tukwila_stats::{Clock, TraceSink};
 
-use crate::driver::{charged_cost, CpuCostModel, PushTarget, SimDriver, Timeline};
+use crate::driver::{Inputs, PushTarget, SimDriver, Sweep, SweepOutcome, Timeline};
 use crate::metrics::ExecReport;
 use crate::op::{Batch, DataBatch, IncOp};
 use crate::plan::{NodeObservation, PipelinePlan, SealedState};
@@ -82,7 +85,7 @@ pub struct FragmentOptions {
     /// the queue full.
     pub poll_tick_us: u64,
     /// Timeline budget for a quiesce: how long
-    /// [`ThreadedFragmentRun::quiesce`] waits for every producer to park
+    /// [`PhaseRun::quiesce`] waits for every producer to park
     /// at a batch boundary before giving up (the caller then resumes the
     /// producers and abandons the plan switch instead of blocking the
     /// query). Producers park within one poll sweep plus one bounded
@@ -274,33 +277,34 @@ impl FragmentPlan {
 
     /// Convert into the incremental sequential executor.
     pub fn into_run(self) -> FragmentRun {
-        let mut owner = HashMap::new();
-        let mut consumer = HashMap::new();
-        let mut open_inputs = Vec::with_capacity(self.fragments.len());
-        for (i, f) in self.fragments.iter().enumerate() {
-            for rel in f.source_rels() {
-                owner.insert(rel, i);
+        FragmentRun::new(self.fragments)
+    }
+
+    /// Counter/signature snapshots across every fragment, with node ids
+    /// offset so they are unique plan-wide (fragment 0's nodes first).
+    /// Counters are shared atomics, so the snapshots stay live after the
+    /// pipelines move into their producer threads.
+    fn observations(&self) -> Vec<NodeObservation> {
+        let mut out = Vec::new();
+        let mut offset = 0;
+        for f in &self.fragments {
+            for mut obs in f.pipeline.observations() {
+                obs.node += offset;
+                out.push(obs);
             }
-            for ex in f.exchange_inputs() {
-                consumer.insert(ex, i);
-            }
-            open_inputs.push(f.pipeline.leaves().len());
+            offset += f.pipeline.node_count();
         }
-        FragmentRun {
-            fragments: self.fragments,
-            owner,
-            consumer,
-            open_inputs,
-        }
+        out
     }
 }
 
 /// Sequential, incremental execution of a [`FragmentPlan`]: one thread,
 /// direct handoff across exchanges.
 ///
-/// Implements [`PushTarget`], so the ordinary drivers (`SimDriver`, the
-/// corrective executor) feed it exactly like a single [`PipelinePlan`]:
-/// a pushed batch cascades through its owning fragment, any produced
+/// The root a [`PhaseRun`] drives (the whole plan when sequential, the
+/// root fragment when threaded). Implements [`PushTarget`], so the sweep
+/// feeds it exactly like a single [`PipelinePlan`]: a pushed batch
+/// cascades through its owning fragment, any produced
 /// batches are pushed across exchange boundaries immediately, and root
 /// output lands in `out`. Because the handoff is immediate, nothing is
 /// ever buffered *between* pushes — a mid-stream plan switch (corrective
@@ -317,24 +321,28 @@ pub struct FragmentRun {
 }
 
 impl FragmentRun {
-    /// Number of fragments.
-    pub fn fragment_count(&self) -> usize {
-        self.fragments.len()
-    }
-
-    /// Counter/signature snapshots across every fragment, with node ids
-    /// offset so they are unique plan-wide (fragment 0's nodes first).
-    pub fn observations(&self) -> Vec<NodeObservation> {
-        let mut out = Vec::new();
-        let mut offset = 0;
-        for f in &self.fragments {
-            for mut obs in f.pipeline.observations() {
-                obs.node += offset;
-                out.push(obs);
+    /// Route over `fragments` (topological order, root last). A root
+    /// fragment whose exchange producers run elsewhere is a valid
+    /// one-fragment run: its exchange leaves route to it directly.
+    fn new(fragments: Vec<Fragment>) -> FragmentRun {
+        let mut owner = HashMap::new();
+        let mut consumer = HashMap::new();
+        let mut open_inputs = Vec::with_capacity(fragments.len());
+        for (i, f) in fragments.iter().enumerate() {
+            for rel in f.source_rels() {
+                owner.insert(rel, i);
             }
-            offset += f.pipeline.node_count();
+            for ex in f.exchange_inputs() {
+                consumer.insert(ex, i);
+            }
+            open_inputs.push(f.pipeline.leaves().len());
         }
-        out
+        FragmentRun {
+            fragments,
+            owner,
+            consumer,
+            open_inputs,
+        }
     }
 
     /// Seal every fragment (end of a suspended phase), extracting each
@@ -364,6 +372,9 @@ impl FragmentRun {
     }
 
     fn push_into(&mut self, f: usize, rel: u32, batch: &[Tuple], out: &mut Batch) -> Result<()> {
+        if self.fragments[f].output.is_none() {
+            return self.fragments[f].pipeline.push_source(rel, batch, out);
+        }
         let mut produced = Batch::new();
         self.fragments[f]
             .pipeline
@@ -417,16 +428,35 @@ impl PushTarget for FragmentRun {
         self.push_into(f, rel_id, batch, out)
     }
 
+    fn push_source_columns(
+        &mut self,
+        rel_id: u32,
+        batch: &ColumnarBatch,
+        out: &mut Batch,
+    ) -> Result<()> {
+        let f = self.fragment_for(rel_id)?;
+        if self.fragments[f].output.is_none() {
+            return self.fragments[f]
+                .pipeline
+                .push_source_columns(rel_id, batch, out);
+        }
+        let mut produced = Batch::new();
+        self.fragments[f]
+            .pipeline
+            .push_source_columns(rel_id, batch, &mut produced)?;
+        self.forward(f, produced, out)
+    }
+
     fn finish_source(&mut self, rel_id: u32, out: &mut Batch) -> Result<()> {
         let f = self.fragment_for(rel_id)?;
         self.finish_in(f, rel_id, out)
     }
 }
 
-/// Outcome of a representation-preserving exchange poll
-/// ([`ExchangeSource::poll_data`]): like [`Poll`], but `Ready` carries
-/// whichever representation the producer shipped, so a columnar-aware
-/// consumer can route columns straight into vectorized kernels.
+/// Outcome of an exchange poll ([`ExchangeSource::poll_data`]): like
+/// [`tukwila_source::Poll`], but `Ready` carries whichever representation
+/// the producer shipped, so the consumer routes columns straight into
+/// vectorized kernels.
 pub enum ExchangePoll {
     /// A batch was queued, in the representation it was shipped.
     Ready(DataBatch),
@@ -439,44 +469,27 @@ pub enum ExchangePoll {
     Eof,
 }
 
-/// The consumer end of an exchange, adapted to the [`Source`] trait so a
-/// consumer fragment's driver loop polls it exactly like a base relation:
-/// `Ready` while batches are queued (respecting `max_tuples` via a carry
-/// buffer), `Pending` one poll tick ahead while the producer is alive but
-/// quiet, `Eof` once the producer finished and the queue drained.
+/// The consumer end of an exchange: `Ready` while batches are queued,
+/// `Pending` one poll tick ahead while the producer is alive but quiet,
+/// `Eof` once the producer finished and the queue drained.
 pub struct ExchangeSource {
     ex_id: u32,
-    name: String,
-    schema: Schema,
     reader: Option<QueueReader>,
     carry: Vec<Tuple>,
     poll_tick_us: u64,
-    delivered: u64,
     done: bool,
 }
 
 impl ExchangeSource {
     /// Wrap the reader half of an exchange queue.
-    pub fn new(ex_id: u32, schema: Schema, reader: QueueReader, poll_tick_us: u64) -> Self {
+    pub fn new(ex_id: u32, reader: QueueReader, poll_tick_us: u64) -> Self {
         ExchangeSource {
             ex_id,
-            name: format!("exchange-{}", ex_id - EXCHANGE_REL_BASE),
-            schema,
             reader: Some(reader),
             carry: Vec::new(),
             poll_tick_us: poll_tick_us.max(1),
-            delivered: 0,
             done: false,
         }
-    }
-
-    fn emit(&mut self, mut fresh: Vec<Tuple>, max_tuples: usize) -> Poll {
-        let cap = max_tuples.max(1);
-        if fresh.len() > cap {
-            self.carry = fresh.split_off(cap);
-        }
-        self.delivered += fresh.len() as u64;
-        Poll::Ready(fresh)
     }
 
     /// The exchange stream this source reads.
@@ -484,45 +497,43 @@ impl ExchangeSource {
         self.ex_id
     }
 
-    /// Representation-preserving poll: columnar batches shipped by the
-    /// producer come back intact (one queue batch at a time — the
-    /// producer already bounded it to its batch size), row batches honor
-    /// `max_tuples` through the carry buffer exactly like
-    /// [`Source::poll`]. The row-level `poll` remains the fallback for
-    /// drivers that treat this source like any other relation.
+    /// Whether the stream ended (producer finished, queue drained).
+    fn is_eof(&self) -> bool {
+        self.done && self.carry.is_empty()
+    }
+
+    /// Poll the stream: columnar batches shipped by the producer come
+    /// back intact (one queue batch at a time — the producer already
+    /// bounded it to its batch size); row batches honor `max_tuples`
+    /// through a carry buffer.
     pub fn poll_data(&mut self, now_us: u64, max_tuples: usize) -> ExchangePoll {
-        if !self.carry.is_empty() {
-            let cap = max_tuples.max(1).min(self.carry.len());
-            let rest = self.carry.split_off(cap);
-            let head = std::mem::replace(&mut self.carry, rest);
-            self.delivered += head.len() as u64;
-            return ExchangePoll::Ready(DataBatch::Rows(head));
+        if self.carry.is_empty() && !self.done {
+            let status = match &self.reader {
+                Some(r) => r.try_recv_data(),
+                None => TryRecvData::Closed,
+            };
+            match status {
+                TryRecvData::Batch(DataBatch::Columns(c)) => {
+                    return ExchangePoll::Ready(DataBatch::Columns(c))
+                }
+                TryRecvData::Batch(DataBatch::Rows(b)) => self.carry = b,
+                TryRecvData::Empty => {
+                    return ExchangePoll::Pending {
+                        next_ready_us: now_us + self.poll_tick_us,
+                    }
+                }
+                TryRecvData::Closed => {
+                    self.done = true;
+                    self.reader = None;
+                }
+            }
         }
-        if self.done {
+        if self.is_eof() {
             return ExchangePoll::Eof;
         }
-        let status = match &self.reader {
-            Some(r) => r.try_recv_data(),
-            None => TryRecvData::Closed,
-        };
-        match status {
-            TryRecvData::Batch(DataBatch::Columns(c)) => {
-                self.delivered += c.selected_rows() as u64;
-                ExchangePoll::Ready(DataBatch::Columns(c))
-            }
-            TryRecvData::Batch(DataBatch::Rows(b)) => match self.emit(b, max_tuples) {
-                Poll::Ready(head) => ExchangePoll::Ready(DataBatch::Rows(head)),
-                _ => unreachable!("emit always returns Ready"),
-            },
-            TryRecvData::Empty => ExchangePoll::Pending {
-                next_ready_us: now_us + self.poll_tick_us,
-            },
-            TryRecvData::Closed => {
-                self.done = true;
-                self.reader = None;
-                ExchangePoll::Eof
-            }
-        }
+        let cap = max_tuples.max(1).min(self.carry.len());
+        let rest = self.carry.split_off(cap);
+        ExchangePoll::Ready(DataBatch::Rows(std::mem::replace(&mut self.carry, rest)))
     }
 
     /// Take everything currently buffered on the consumer side of this
@@ -548,66 +559,6 @@ impl ExchangeSource {
             }
         }
         out
-    }
-}
-
-impl Source for ExchangeSource {
-    fn rel_id(&self) -> u32 {
-        self.ex_id
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn poll(&mut self, now_us: u64, max_tuples: usize) -> Poll {
-        if !self.carry.is_empty() {
-            let cap = max_tuples.max(1).min(self.carry.len());
-            let rest = self.carry.split_off(cap);
-            let head = std::mem::replace(&mut self.carry, rest);
-            self.delivered += head.len() as u64;
-            return Poll::Ready(head);
-        }
-        if self.done {
-            return Poll::Eof;
-        }
-        let status = match &self.reader {
-            Some(r) => r.try_recv_status(),
-            None => TryRecv::Closed,
-        };
-        match status {
-            TryRecv::Batch(b) => self.emit(b, max_tuples),
-            TryRecv::Empty => Poll::Pending {
-                next_ready_us: now_us + self.poll_tick_us,
-            },
-            TryRecv::Closed => {
-                self.done = true;
-                self.reader = None;
-                Poll::Eof
-            }
-        }
-    }
-
-    fn progress(&self) -> SourceProgressView {
-        SourceProgressView {
-            tuples_read: self.delivered,
-            fraction_read: None,
-            eof: self.done,
-        }
-    }
-
-    fn descriptor(&self) -> SourceDescriptor {
-        SourceDescriptor {
-            rel_id: self.ex_id,
-            name: self.name.clone(),
-            complete: true,
-            key_range: None,
-            declared_rate_tuples_per_sec: None,
-        }
     }
 }
 
@@ -765,7 +716,7 @@ impl FragmentSourceProgress {
 
 /// Controller-side handle to one threaded producer fragment: request a
 /// park, observe that it happened, read the producer's high-water marks,
-/// and resume it. (Sealing goes through [`ThreadedFragmentRun::seal`],
+/// and resume it. (Sealing goes through [`PhaseRun::seal`],
 /// which needs every producer at once to reassemble the plan.)
 #[derive(Debug)]
 pub struct QuiesceHandle {
@@ -818,25 +769,38 @@ impl QuiesceHandle {
     }
 }
 
-/// A source owned by one producer fragment thread.
-enum ProducerSource {
-    /// A caller-provided base-relation source, tagged with the slot it
-    /// came from so it can be recovered after a seal.
-    Real {
-        slot: usize,
-        src: Box<dyn Source>,
-        progress: Arc<FragmentSourceProgress>,
-    },
-    /// The consumer end of an upstream exchange (multi-level chains: a
-    /// producer feeding another producer).
-    Exchange(ExchangeSource),
+/// The inputs of one fragment's driver loop: base-relation sources
+/// tagged with the slot each held in the vector handed to
+/// [`PhaseRun::spawn`], the exchange streams the fragment consumes, and
+/// their EOF flags (the [`Inputs`] layout: sources first).
+#[derive(Default)]
+struct FragmentInputs {
+    slots: Vec<usize>,
+    sources: Vec<Box<dyn Source>>,
+    exchanges: Vec<ExchangeSource>,
+    done: Vec<bool>,
 }
 
-impl ProducerSource {
-    fn as_source_mut(&mut self) -> &mut dyn Source {
-        match self {
-            ProducerSource::Real { src, .. } => src.as_mut(),
-            ProducerSource::Exchange(ex) => ex,
+impl FragmentInputs {
+    /// Size the EOF flags once every input is in place.
+    fn ready(mut self) -> FragmentInputs {
+        self.done = vec![false; self.sources.len() + self.exchanges.len()];
+        self
+    }
+
+    fn as_inputs(&mut self) -> Inputs<'_> {
+        Inputs {
+            sources: &mut self.sources,
+            exchanges: &mut self.exchanges,
+            done: &mut self.done,
+        }
+    }
+
+    /// Polling resumes: end the delivery-accounting pause of every
+    /// source (a no-op for sources that were never paused).
+    fn resume_delivery(&mut self, now_us: u64) {
+        for src in &mut self.sources {
+            src.resume_delivery(now_us);
         }
     }
 }
@@ -847,7 +811,7 @@ impl ProducerSource {
 struct ProducerYield {
     frag_index: usize,
     pipeline: PipelinePlan,
-    sources: Vec<ProducerSource>,
+    inputs: FragmentInputs,
     report: ExecReport,
     /// Output produced but not yet shipped into the exchange queue (a
     /// quiesce arrived while the queue was full).
@@ -870,7 +834,7 @@ enum Directive {
 /// the way out.
 fn quiesce_point(
     shared: &QuiesceShared,
-    sources: &mut [ProducerSource],
+    inputs: &mut FragmentInputs,
     clock: &Arc<dyn Clock>,
 ) -> Directive {
     {
@@ -884,8 +848,8 @@ fn quiesce_point(
     // Parking: tell self-accounting sources (the threaded federation
     // adapter) that the coming silence is ours, not theirs — their races
     // keep running, only the backpressure/stall bookkeeping pauses.
-    for s in sources.iter_mut() {
-        s.as_source_mut().quiesce_delivery();
+    for src in &mut inputs.sources {
+        src.quiesce_delivery();
     }
     let directive = {
         let mut s = shared.lock();
@@ -907,37 +871,33 @@ fn quiesce_point(
         }
     };
     if directive == Directive::Continue {
-        let now = clock.now_us();
-        for s in sources.iter_mut() {
-            s.as_source_mut().resume_delivery(now);
-        }
+        inputs.resume_delivery(clock.now_us());
     }
     // On Seal the sources stay paused: they are about to be recovered and
     // re-spawned into the next phase, whose producer resumes them.
     directive
 }
 
-/// The quiesce-aware producer driver loop: the standard poll/push/idle
-/// sweep over this fragment's sources, with a batch-boundary quiesce
-/// check and non-blocking exchange shipping. Always returns its
-/// [`ProducerYield`] — the pipeline survives every exit path.
+/// The quiesce-aware producer driver loop: the standard sweep over this
+/// fragment's inputs, with a batch-boundary quiesce check and
+/// non-blocking exchange shipping. Always returns its [`ProducerYield`]
+/// — the pipeline survives every exit path.
 #[allow(clippy::too_many_arguments)]
 fn run_producer(
     frag_index: usize,
     ex_id: u32,
     mut pipeline: PipelinePlan,
-    mut sources: Vec<ProducerSource>,
+    mut inputs: FragmentInputs,
+    progress: Vec<Arc<FragmentSourceProgress>>,
     mut writer: QueueWriter,
     shared: Arc<QuiesceShared>,
     clock: Arc<dyn Clock>,
-    batch_size: usize,
-    cpu: CpuCostModel,
+    sweep: Sweep,
     retry_tick_us: u64,
     trace: TraceSink,
 ) -> ProducerYield {
     let mut timeline = Timeline::new(Some(clock.clone()));
     let mut report = ExecReport::default();
-    let mut finished = vec![false; sources.len()];
     let mut pending: Batch = Batch::new();
     // Output already encoded for the wire (columns in columnar mode). A
     // refused send hands the encoded batch back, so retry loops pay the
@@ -951,12 +911,7 @@ fn run_producer(
 
     // Sources recovered from a sealed previous phase arrive still paused;
     // fresh sources treat this as a no-op.
-    {
-        let now = clock.now_us();
-        for s in sources.iter_mut() {
-            s.as_source_mut().resume_delivery(now);
-        }
-    }
+    inputs.resume_delivery(clock.now_us());
 
     'run: loop {
         // Batch boundary: the only place this thread parks. Refresh the
@@ -965,7 +920,7 @@ fn run_producer(
         shared
             .cpu_us
             .store(timeline.cpu_us() as u64, Ordering::Release);
-        match quiesce_point(&shared, &mut sources, &clock) {
+        match quiesce_point(&shared, &mut inputs, &clock) {
             Directive::Continue => {}
             Directive::Seal => break 'run,
         }
@@ -1001,80 +956,31 @@ fn run_producer(
                 }
             }
         }
-        // One poll sweep, same discipline as `SimDriver::run_target`.
+        // One poll sweep — the same one every driver runs. Upstream
+        // exchanges (multi-level producer chains) arrive representation-
+        // preserving, so columns ride into the vectorized push.
         timeline.resync();
-        let mut any_ready = false;
-        let mut next_ready: Option<u64> = None;
-        let mut all_done = true;
-        for i in 0..sources.len() {
-            if finished[i] {
-                continue;
+        let swept = sweep.run(
+            &mut timeline,
+            &mut pipeline,
+            inputs.as_inputs(),
+            &mut pending,
+            |i, src, polled| progress[i].refresh(polled.unwrap_or(0) as u64, src),
+        );
+        let swept = match swept {
+            Ok(swept) => swept,
+            Err(e) => {
+                error = Some(e);
+                break 'run;
             }
-            all_done = false;
-            // Upstream exchanges (multi-level producer chains) poll
-            // representation-preserving, so columnar batches shipped by
-            // the producer below ride into this pipeline's vectorized
-            // push without a row detour.
-            let polled = match &mut sources[i] {
-                ProducerSource::Exchange(ex) => ex.poll_data(timeline.now_us(), batch_size),
-                ProducerSource::Real { src, .. } => match src.poll(timeline.now_us(), batch_size) {
-                    Poll::Ready(b) => ExchangePoll::Ready(DataBatch::Rows(b)),
-                    Poll::Pending { next_ready_us } => ExchangePoll::Pending { next_ready_us },
-                    Poll::Eof => ExchangePoll::Eof,
-                },
-            };
-            match polled {
-                ExchangePoll::Ready(batch) => {
-                    any_ready = true;
-                    report.batches += 1;
-                    let n = batch.len();
-                    let rel = sources[i].as_source_mut().rel_id();
-                    let pushed = charged_cost(cpu, &timeline, n, || match &batch {
-                        DataBatch::Rows(b) => pipeline.push_source(rel, b, &mut pending),
-                        DataBatch::Columns(c) => pipeline.push_source_columns(rel, c, &mut pending),
-                    });
-                    match pushed {
-                        Ok(cost) => timeline.charge(cost),
-                        Err(e) => {
-                            error = Some(e);
-                            break 'run;
-                        }
-                    }
-                    if let ProducerSource::Real { src, progress, .. } = &sources[i] {
-                        progress.refresh(n as u64, src.as_ref());
-                    }
-                }
-                ExchangePoll::Pending { next_ready_us } => {
-                    next_ready = Some(match next_ready {
-                        Some(n) => n.min(next_ready_us),
-                        None => next_ready_us,
-                    });
-                }
-                ExchangePoll::Eof => {
-                    finished[i] = true;
-                    let flushed = charged_cost(cpu, &timeline, 0, || {
-                        let rel = sources[i].as_source_mut().rel_id();
-                        pipeline.finish_source(rel, &mut pending)
-                    });
-                    match flushed {
-                        Ok(cost) => timeline.charge(cost),
-                        Err(e) => {
-                            error = Some(e);
-                            break 'run;
-                        }
-                    }
-                    if let ProducerSource::Real { src, progress, .. } = &sources[i] {
-                        progress.refresh(0, src.as_ref());
-                    }
-                }
-            }
-        }
-        if all_done {
+        };
+        report.batches += swept.batches;
+        if swept.all_done {
             completed = true;
             break 'run;
         }
-        if !any_ready {
-            if let Some(n) = next_ready {
+        if !swept.any_ready {
+            if let Some(n) = swept.next_ready_us {
                 // One bounded chunk; the loop re-checks the quiesce latch
                 // before sleeping again.
                 timeline.idle_toward(n);
@@ -1165,22 +1071,22 @@ fn run_producer(
     ProducerYield {
         frag_index,
         pipeline,
-        sources,
+        inputs,
         report,
         pending,
         error,
     }
 }
 
-/// Everything recovered by sealing a [`ThreadedFragmentRun`]: the state
-/// structures of every fragment (plan-wide node ids, same numbering as
-/// [`FragmentRun::seal`] on the equivalent sequential run), the caller's
-/// sources, and the producers' accounting.
+/// Everything recovered by sealing a [`PhaseRun`]: the state structures
+/// of every fragment (plan-wide node ids, the numbering of
+/// [`FragmentRun::seal`] on the whole plan), every source, and the
+/// producers' accounting.
 pub struct SealedOutcome {
     /// Sealed state structures across every fragment, root last.
     pub states: Vec<SealedState>,
-    /// Recovered base-relation sources, tagged with the slot each held in
-    /// the source vector handed to [`ThreadedFragmentRun::spawn`].
+    /// Every source handed to [`PhaseRun::spawn`], tagged with its slot
+    /// in that vector, ascending.
     pub sources: Vec<SlottedSource>,
     /// CPU µs (timeline) the producer threads charged.
     pub producer_cpu_us: u64,
@@ -1200,43 +1106,51 @@ struct ProducerSlot {
     quiesce: QuiesceHandle,
 }
 
-/// A base-relation source tagged with the slot it held in the source
-/// vector handed to [`ThreadedFragmentRun::spawn`] (so the caller can put
-/// recovered sources back where they came from).
+/// A source tagged with the slot it held in the source vector handed to
+/// [`PhaseRun::spawn`] (so the caller can put recovered sources back
+/// where they came from).
 pub type SlottedSource = (usize, Box<dyn Source>);
 
-/// Threaded execution of a [`FragmentPlan`] as an explicit state machine
-/// the corrective executor can own across plan switches:
+/// One phase of a [`FragmentPlan`]'s execution — the only phase executor,
+/// whatever the clock or threading — as an explicit state machine the
+/// corrective executor owns across plan switches:
 ///
-/// * **spawn** — every producer fragment starts its quiesce-aware driver
-///   loop on its own thread; the root fragment's pipeline and
-///   [`ExchangeSource`]s stay with the caller, who polls them like any
-///   other sources ([`ThreadedFragmentRun::root_split`]).
-/// * **poll** — the controller reads live observations
-///   ([`ThreadedFragmentRun::observations`]: counters are shared atomics)
-///   and per-source high-water marks
-///   ([`ThreadedFragmentRun::quiesce_handles`]) while producers run.
-/// * **quiesce** — ask every producer to park at a batch boundary and
-///   wait (clock-driven timeout); on timeout the caller **resumes** and
-///   abandons whatever needed the quiesce.
+/// * **spawn** — a threaded run starts every producer fragment's
+///   quiesce-aware driver loop on its own thread and keeps the root
+///   fragment; a sequential run spawns nothing and keeps the whole plan
+///   as its root.
+/// * **sweep** — the caller drives the root inputs (base relations plus
+///   exchange streams) with [`PhaseRun::sweep`], reading live
+///   observations ([`PhaseRun::observations`]: counters are shared
+///   atomics) and per-source high-water marks
+///   ([`PhaseRun::quiesce_handles`]) as it goes.
+/// * **quiesce** — pause the root sources' delivery accounting, ask every
+///   producer to park at a batch boundary and wait (clock-driven
+///   timeout); on timeout the caller **resumes** and abandons whatever
+///   needed the quiesce. A sequential run is quiescent at every batch
+///   boundary, so this succeeds at once.
 /// * **seal** — join every thread (re-raising panics, surfacing producer
 ///   errors), drain every exchange's in-flight tuples into the
 ///   reassembled sequential plan (so nothing buffered between fragments
-///   is lost), seal all pipelines, and hand back the caller's sources.
+///   is lost), seal all pipelines, and hand back every source.
 ///
 /// Dropping a run that was never sealed requests a seal, joins every
 /// thread, and discards the yields — no leaked threads on any path.
-pub struct ThreadedFragmentRun {
+pub struct PhaseRun {
+    /// What the calling thread drives: the whole plan (sequential) or
+    /// the root fragment (threaded).
+    root: FragmentRun,
+    /// The root's inputs: every source (sequential), or the root
+    /// fragment's sources plus the exchange streams it consumes.
+    inputs: FragmentInputs,
     producers: Vec<ProducerSlot>,
-    root_pipeline: PipelinePlan,
-    /// Exchange streams the root fragment consumes; the controller polls
-    /// these next to its own base-relation sources.
-    root_exchanges: Vec<ExchangeSource>,
     /// Output exchange of every fragment (topological order, root last).
     outputs: Vec<Option<u32>>,
     /// Observation templates with plan-wide node ids; counters are live.
     obs_templates: Vec<NodeObservation>,
-    clock: Arc<dyn Clock>,
+    /// The wall clock of a threaded run; `None` runs sequentially.
+    clock: Option<Arc<dyn Clock>>,
+    sweep: Sweep,
     opts: FragmentOptions,
     /// Cores actually granted by `opts.lease` for the producer threads
     /// (zero without a lease, or when the arbiter had nothing free).
@@ -1245,48 +1159,41 @@ pub struct ThreadedFragmentRun {
     joined: bool,
 }
 
-impl ThreadedFragmentRun {
-    /// Spawn the producer fragments of `plan` on their own threads.
-    ///
-    /// Consumes every source in `sources`; those bound by producer
-    /// fragments move into the threads (to be recovered by
-    /// [`ThreadedFragmentRun::seal`]), while the root fragment's sources
-    /// are returned, tagged with their original slots, for the caller to
-    /// poll alongside [`ThreadedFragmentRun::root_split`]'s exchanges.
+impl PhaseRun {
+    /// Start a phase of `plan` over `sources`. With a (wall) `clock`, the
+    /// producer fragments run on their own threads and take the sources
+    /// they bind (recovered by [`PhaseRun::seal`]); without one, the run
+    /// is sequential and every source stays at the root. `sweep` is the
+    /// batch size and cost model of every fragment's driver loop.
     pub fn spawn(
         plan: FragmentPlan,
         sources: Vec<Box<dyn Source>>,
-        clock: Arc<dyn Clock>,
-        batch_size: usize,
-        cpu: CpuCostModel,
+        clock: Option<Arc<dyn Clock>>,
+        sweep: Sweep,
         opts: &FragmentOptions,
-    ) -> Result<(ThreadedFragmentRun, Vec<SlottedSource>)> {
-        if !clock.is_wall() {
+    ) -> Result<PhaseRun> {
+        if clock.as_ref().is_some_and(|c| !c.is_wall()) {
             return Err(Error::Plan(
-                "threaded fragments need a wall clock; use run_fragments_sequential \
+                "threaded fragments need a wall clock; spawn without a clock \
                  for virtual-clock runs"
                     .into(),
             ));
         }
         let nfrag = plan.fragment_count();
-
-        // Observation templates with plan-wide node ids, captured before
-        // the pipelines move into their threads. Counters are Arc-shared
-        // atomics, so these stay live.
-        let mut obs_templates = Vec::new();
-        let mut offset = 0;
-        for f in plan.fragments() {
-            for mut obs in f.pipeline.observations() {
-                obs.node += offset;
-                obs_templates.push(obs);
-            }
-            offset += f.pipeline.node_count();
-        }
+        let root_idx = nfrag - 1;
+        let obs_templates = plan.observations();
         let outputs: Vec<Option<u32>> = plan.fragments().iter().map(|f| f.output).collect();
+        // The protocol journal (producer spans, park/drain/seal) only
+        // exists where there are threads to journal.
+        let mut opts = opts.clone();
+        if clock.is_none() {
+            opts.trace = TraceSink::disabled();
+        }
 
-        // Partition the sources among the fragments that bind them.
-        let mut per_fragment: Vec<Vec<ProducerSource>> = (0..nfrag).map(|_| Vec::new()).collect();
-        let mut root_sources: Vec<SlottedSource> = Vec::new();
+        // Partition the sources: each goes to the fragment binding it
+        // when threaded; a sequential run polls every source at the root.
+        let mut per_fragment: Vec<FragmentInputs> =
+            (0..nfrag).map(|_| FragmentInputs::default()).collect();
         for (slot, src) in sources.into_iter().enumerate() {
             let f = plan.fragment_of(src.rel_id()).ok_or_else(|| {
                 Error::Plan(format!(
@@ -1294,21 +1201,13 @@ impl ThreadedFragmentRun {
                     src.rel_id()
                 ))
             })?;
-            if f == nfrag - 1 {
-                root_sources.push((slot, src));
-            } else {
-                let progress = Arc::new(FragmentSourceProgress::new(src.rel_id()));
-                per_fragment[f].push(ProducerSource::Real {
-                    slot,
-                    src,
-                    progress,
-                });
-            }
+            let f = if clock.is_some() { f } else { root_idx };
+            per_fragment[f].slots.push(slot);
+            per_fragment[f].sources.push(src);
         }
 
-        // Exchange → consuming fragment index, computed before the
-        // fragment vec is consumed (a producer's exchange may feed
-        // another producer, not only the root — multi-level chains).
+        // Exchange → consuming fragment index (a producer's exchange may
+        // feed another producer, not only the root — multi-level chains).
         let mut consumer_of: HashMap<u32, usize> = HashMap::new();
         for (i, f) in plan.fragments.iter().enumerate() {
             for ex in f.exchange_inputs() {
@@ -1317,40 +1216,35 @@ impl ThreadedFragmentRun {
         }
 
         let mut fragments = plan.fragments;
-        let root = fragments.pop().expect("validated non-empty");
-        let mut root_exchanges: Vec<ExchangeSource> = Vec::new();
-        let mut producers: Vec<ProducerSlot> = Vec::with_capacity(nfrag - 1);
-        for (idx, frag) in fragments.into_iter().enumerate() {
+        let producer_fragments: Vec<Fragment> = match clock {
+            Some(_) => fragments.drain(..root_idx).collect(),
+            None => Vec::new(),
+        };
+        let mut producers: Vec<ProducerSlot> = Vec::with_capacity(producer_fragments.len());
+        for (idx, frag) in producer_fragments.into_iter().enumerate() {
+            let thread_clock = clock.clone().expect("producers only spawn threaded");
             let ex = frag.output.expect("non-root fragments output an exchange");
             let (mut writer, reader) =
                 queue_pair(frag.pipeline.root_schema().clone(), opts.queue_capacity);
             writer.set_columnar(opts.columnar_exchange);
-            let exchange_source = ExchangeSource::new(
-                ex,
-                frag.pipeline.root_schema().clone(),
-                reader,
-                opts.poll_tick_us,
-            );
-            let consumer_idx = consumer_of[&ex]; // validated by FragmentPlan::new
-            if consumer_idx == nfrag - 1 {
-                root_exchanges.push(exchange_source);
-            } else {
-                per_fragment[consumer_idx].push(ProducerSource::Exchange(exchange_source));
-            }
-
-            let frag_sources = std::mem::take(&mut per_fragment[idx]);
-            let progress: Vec<Arc<FragmentSourceProgress>> = frag_sources
+            // Validated by FragmentPlan::new; producers precede their
+            // consumer, so this fragment's own exchanges are in place.
+            per_fragment[consumer_of[&ex]]
+                .exchanges
+                .push(ExchangeSource::new(ex, reader, opts.poll_tick_us));
+            let inputs = std::mem::take(&mut per_fragment[idx]).ready();
+            let progress: Vec<Arc<FragmentSourceProgress>> = inputs
+                .sources
                 .iter()
-                .filter_map(|s| match s {
-                    ProducerSource::Real { progress, .. } => Some(progress.clone()),
-                    ProducerSource::Exchange(_) => None,
-                })
+                .map(|s| Arc::new(FragmentSourceProgress::new(s.rel_id())))
                 .collect();
             let shared = Arc::new(QuiesceShared::new());
-            let thread_shared = shared.clone();
-            let thread_clock = clock.clone();
+            let handle = QuiesceHandle {
+                shared: shared.clone(),
+                progress: progress.clone(),
+            };
             let thread_trace = opts.trace.clone();
-            let (bs, cm, tick) = (batch_size, cpu, opts.poll_tick_us);
+            let tick = opts.poll_tick_us;
             let pipeline = frag.pipeline;
             let spawned = std::thread::Builder::new()
                 .name(format!("fragment-{idx}"))
@@ -1359,20 +1253,20 @@ impl ThreadedFragmentRun {
                         idx,
                         ex,
                         pipeline,
-                        frag_sources,
+                        inputs,
+                        progress,
                         writer,
-                        thread_shared,
+                        shared,
                         thread_clock,
-                        bs,
-                        cm,
+                        sweep,
                         tick,
                         thread_trace,
                     )
                 });
             match spawned {
-                Ok(handle) => producers.push(ProducerSlot {
-                    handle: Some(handle),
-                    quiesce: QuiesceHandle { shared, progress },
+                Ok(h) => producers.push(ProducerSlot {
+                    handle: Some(h),
+                    quiesce: handle,
                 }),
                 Err(e) => {
                     // Thread-resource exhaustion mid-construction: seal
@@ -1383,7 +1277,6 @@ impl ThreadedFragmentRun {
                         p.quiesce.request_seal();
                     }
                     drop(per_fragment);
-                    drop(root_exchanges);
                     for p in &mut producers {
                         if let Some(h) = p.handle.take() {
                             let _ = h.join();
@@ -1405,20 +1298,28 @@ impl ThreadedFragmentRun {
             .as_ref()
             .map_or(0, |lease| lease.try_acquire(producers.len()));
 
-        Ok((
-            ThreadedFragmentRun {
-                producers,
-                root_pipeline: root.pipeline,
-                root_exchanges,
-                outputs,
-                obs_templates,
-                clock,
-                opts: opts.clone(),
-                lease_granted,
-                joined: false,
-            },
-            root_sources,
-        ))
+        let mut run = PhaseRun {
+            root: FragmentRun::new(fragments),
+            inputs: per_fragment.pop().expect("validated non-empty").ready(),
+            producers,
+            outputs,
+            obs_templates,
+            clock,
+            sweep,
+            opts,
+            lease_granted,
+            joined: false,
+        };
+        // Sources recovered from a sealed previous phase arrive with
+        // their delivery accounting still paused: producer-bound ones are
+        // resumed by their new thread, root ones here.
+        run.resume_root_delivery();
+        Ok(run)
+    }
+
+    /// Whether producer fragments run on their own threads.
+    pub fn is_threaded(&self) -> bool {
+        self.clock.is_some()
     }
 
     /// Number of producer fragments running on threads.
@@ -1431,11 +1332,50 @@ impl ThreadedFragmentRun {
         self.outputs.len()
     }
 
-    /// The root fragment's pipeline and the exchange sources it consumes,
-    /// split-borrowed so the caller's poll sweep can push exchange
-    /// batches into the pipeline it owns alongside its own sources.
-    pub fn root_split(&mut self) -> (&mut PipelinePlan, &mut [ExchangeSource]) {
-        (&mut self.root_pipeline, &mut self.root_exchanges)
+    /// The base-relation sources the root polls, in slot order.
+    pub fn root_sources_mut(&mut self) -> &mut [Box<dyn Source>] {
+        &mut self.inputs.sources
+    }
+
+    /// Close the root ports of sources already at EOF (`exhausted`,
+    /// indexed by slot) — an earlier phase drained them, so this phase
+    /// never polls them.
+    pub fn close_exhausted(&mut self, exhausted: &[bool], out: &mut Batch) -> Result<()> {
+        for (i, src) in self.inputs.sources.iter().enumerate() {
+            if exhausted[self.inputs.slots[i]] {
+                self.inputs.done[i] = true;
+                self.root.finish_source(src.rel_id(), out)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// One [`Sweep`] over the root inputs: poll each unfinished input
+    /// once, push what is ready (exchange columns stay columns), close
+    /// inputs at EOF. Root output lands in `out`; `on_source(slot,
+    /// source, polled)` reports each base-relation batch (`Some(tuples)`)
+    /// and EOF (`None`).
+    pub fn sweep(
+        &mut self,
+        timeline: &mut Timeline,
+        out: &mut Batch,
+        mut on_source: impl FnMut(usize, &dyn Source, Option<usize>),
+    ) -> Result<SweepOutcome> {
+        let FragmentInputs {
+            slots,
+            sources,
+            exchanges,
+            done,
+        } = &mut self.inputs;
+        let inputs = Inputs {
+            sources,
+            exchanges,
+            done,
+        };
+        self.sweep
+            .run(timeline, &mut self.root, inputs, out, |i, src, polled| {
+                on_source(slots[i], src, polled)
+            })
     }
 
     /// Per-producer quiesce handles (park / observe / high-water marks /
@@ -1445,9 +1385,8 @@ impl ThreadedFragmentRun {
     }
 
     /// Counter/signature snapshots across every fragment with plan-wide
-    /// node ids — the same numbering [`FragmentRun::observations`] uses.
-    /// Counters are live shared atomics: the monitor reads fragments it
-    /// does not own while their producer threads run.
+    /// node ids. Counters are live shared atomics: the monitor reads
+    /// fragments it does not own while their producer threads run.
     pub fn observations(&self) -> Vec<NodeObservation> {
         self.obs_templates.clone()
     }
@@ -1465,39 +1404,53 @@ impl ThreadedFragmentRun {
         self.producers.iter().map(|p| p.quiesce.cpu_us()).sum()
     }
 
-    /// Ask every producer to park at its next batch boundary and wait for
-    /// it to happen, up to the configured quiesce timeout (timeline µs,
-    /// waited on the shared clock). Returns whether every producer is
-    /// quiescent; on `false` the caller should [`ThreadedFragmentRun::
-    /// resume`] and abandon the plan switch rather than stall the query.
+    /// Bring the run to a batch boundary everywhere: pause the root
+    /// sources' delivery accounting (the coming silence is the
+    /// controller's — a root-owned federated mirror must not read it as a
+    /// stall, or its queue backpressure as consumer saturation), ask
+    /// every producer to park, and wait up to the configured quiesce
+    /// timeout (timeline µs, waited on the shared clock). Returns whether
+    /// every producer is quiescent; on `false` the caller should
+    /// [`PhaseRun::resume`] and abandon the plan switch rather than stall
+    /// the query. A sequential run is already at a batch boundary.
     pub fn quiesce(&mut self) -> bool {
-        self.opts
-            .trace
-            .record_at(self.clock.now_us(), SpanKind::Park.begin("park"));
+        let Some(clock) = self.clock.clone() else {
+            return true;
+        };
+        for src in &mut self.inputs.sources {
+            src.quiesce_delivery();
+        }
+        let trace = &self.opts.trace;
+        trace.record_at(clock.now_us(), SpanKind::Park.begin("park"));
         for p in &self.producers {
             p.quiesce.request_quiesce();
         }
-        let deadline = self
-            .clock
-            .now_us()
-            .saturating_add(self.opts.quiesce_timeout_us);
-        let clock = self.clock.clone();
+        let deadline = clock.now_us().saturating_add(self.opts.quiesce_timeout_us);
         let producers = &self.producers;
         let parked = tukwila_stats::clock::wait_until(clock.as_ref(), deadline, || {
             producers.iter().all(|p| p.quiesce.is_stopped())
         });
-        self.opts
-            .trace
-            .record_at(self.clock.now_us(), SpanKind::Park.end("park"));
+        trace.record_at(clock.now_us(), SpanKind::Park.end("park"));
         parked
     }
 
-    /// Abandon a quiesce: wake every parked producer and continue the
-    /// phase unchanged.
+    /// Abandon a quiesce: wake every parked producer, resume the root
+    /// sources, and continue the phase unchanged.
     pub fn resume(&mut self) {
         for p in &self.producers {
             p.quiesce.resume();
         }
+        self.resume_root_delivery();
+    }
+
+    fn resume_root_delivery(&mut self) {
+        if let Some(clock) = &self.clock {
+            self.inputs.resume_delivery(clock.now_us());
+        }
+    }
+
+    fn now_us(&self) -> u64 {
+        self.clock.as_ref().map_or(0, |c| c.now_us())
     }
 
     /// End the run: join every producer thread (re-raising the first
@@ -1505,11 +1458,11 @@ impl ThreadedFragmentRun {
     /// exchange's in-flight tuples — consumer-side carry, queued batches,
     /// and producer-side unshipped output — into the reassembled
     /// sequential plan (root output lands in `out`), seal every pipeline,
-    /// and recover the caller's sources.
+    /// and recover every source.
     ///
-    /// Call after [`ThreadedFragmentRun::quiesce`] for a mid-stream plan
-    /// switch, or at natural completion (every producer finished and the
-    /// root ran dry) for the end-of-phase seal; both paths are loss-free.
+    /// Call after [`PhaseRun::quiesce`] for a mid-stream plan switch, or
+    /// at natural completion (every root input ran dry) for the
+    /// end-of-phase seal; both paths are loss-free.
     pub fn seal(mut self, out: &mut Batch) -> Result<SealedOutcome> {
         let (mut yields, panic_payload) = self.join_all();
         if let Some(payload) = panic_payload {
@@ -1524,16 +1477,13 @@ impl ThreadedFragmentRun {
         // consumer side (carry + still-queued batches) in stream order,
         // then the producer's unshipped output.
         let trace = self.opts.trace.clone();
-        trace.record_at(self.clock.now_us(), SpanKind::Drain.begin("drain"));
+        trace.record_at(self.now_us(), SpanKind::Drain.begin("drain"));
         let mut leftovers: HashMap<u32, Vec<Tuple>> = HashMap::new();
-        for ex in &mut self.root_exchanges {
-            leftovers.insert(ex.exchange_id(), ex.drain_buffered());
-        }
-        for y in &mut yields {
-            for s in &mut y.sources {
-                if let ProducerSource::Exchange(ex) = s {
-                    leftovers.insert(ex.exchange_id(), ex.drain_buffered());
-                }
+        let consumers =
+            std::iter::once(&mut self.inputs).chain(yields.iter_mut().map(|y| &mut y.inputs));
+        for inputs in consumers {
+            for ex in &mut inputs.exchanges {
+                leftovers.insert(ex.exchange_id(), ex.drain_buffered());
             }
         }
         for y in &mut yields {
@@ -1560,20 +1510,16 @@ impl ThreadedFragmentRun {
             producer_batches += y.report.batches;
             max_queue_depth = max_queue_depth.max(y.report.max_queue_depth);
             blocked_by_exchange.extend(y.report.blocked_by_exchange.iter().copied());
-            for s in y.sources {
-                if let ProducerSource::Real { slot, src, .. } = s {
-                    recovered.push((slot, src));
-                }
-            }
+            recovered.extend(y.inputs.slots.into_iter().zip(y.inputs.sources));
             fragments.push(Fragment {
                 pipeline: y.pipeline,
                 output: self.outputs[y.frag_index],
             });
         }
-        fragments.push(Fragment {
-            pipeline: std::mem::replace(&mut self.root_pipeline, empty_pipeline()),
-            output: None,
-        });
+        let root = std::mem::replace(&mut self.root, FragmentRun::new(Vec::new()));
+        fragments.extend(root.fragments);
+        let inputs = std::mem::take(&mut self.inputs);
+        recovered.extend(inputs.slots.into_iter().zip(inputs.sources));
         let mut run = FragmentPlan::new(fragments)?.into_run();
         for ex in self.outputs.iter().flatten() {
             if let Some(tuples) = leftovers.remove(ex) {
@@ -1582,10 +1528,10 @@ impl ThreadedFragmentRun {
                 }
             }
         }
-        trace.record_at(self.clock.now_us(), SpanKind::Drain.end("drain"));
-        trace.record_at(self.clock.now_us(), SpanKind::Seal.begin("seal"));
+        trace.record_at(self.now_us(), SpanKind::Drain.end("drain"));
+        trace.record_at(self.now_us(), SpanKind::Seal.begin("seal"));
         let states = run.seal();
-        trace.record_at(self.clock.now_us(), SpanKind::Seal.end("seal"));
+        trace.record_at(self.now_us(), SpanKind::Seal.end("seal"));
         recovered.sort_by_key(|(slot, _)| *slot);
         blocked_by_exchange.sort_by_key(|(id, _)| *id);
         Ok(SealedOutcome {
@@ -1628,13 +1574,13 @@ impl ThreadedFragmentRun {
     }
 }
 
-impl Drop for ThreadedFragmentRun {
+impl Drop for PhaseRun {
     fn drop(&mut self) {
         if !self.joined {
             // An abandoned run (error elsewhere, test teardown) must not
             // leak producer threads. Dropping the root's exchange readers
             // first errors any send still blocked on a full queue.
-            self.root_exchanges.clear();
+            self.inputs.exchanges.clear();
             let (_, panic_payload) = self.join_all();
             // A producer panic is the root cause even when the consumer
             // side failed first — re-raise it rather than bury it, unless
@@ -1650,18 +1596,6 @@ impl Drop for ThreadedFragmentRun {
             }
         }
     }
-}
-
-/// A minimal placeholder pipeline used to move the real root pipeline out
-/// of a [`ThreadedFragmentRun`] during `seal` (the run still needs a
-/// valid value for its own `Drop`).
-fn empty_pipeline() -> PipelinePlan {
-    let mut b = PipelinePlan::builder();
-    let schema = Schema::empty();
-    let op = Box::new(crate::project::ProjectOp::columns(&[], &schema));
-    let id = b.add_op(op, &[None], None).expect("placeholder op");
-    b.bind_source(u32::MAX, id, 0).expect("placeholder bind");
-    b.build().expect("placeholder pipeline")
 }
 
 impl SimDriver {
@@ -1681,24 +1615,22 @@ impl SimDriver {
         }
     }
 
-    /// Sequential execution of a fragmented plan: the standard driver loop
-    /// over [`FragmentRun`]. Identical semantics (and, under the virtual
+    /// Sequential execution of a fragmented plan: a [`PhaseRun`] with no
+    /// producer threads. Identical semantics (and, under the virtual
     /// clock, identical timing) to running the unfragmented plan.
     pub fn run_fragments_sequential(
         &self,
         plan: FragmentPlan,
-        mut sources: Vec<Box<dyn Source>>,
+        sources: Vec<Box<dyn Source>>,
     ) -> Result<(Batch, ExecReport)> {
-        let mut run = plan.into_run();
-        self.run_target(&mut run, &mut sources)
+        let opts = FragmentOptions::default();
+        self.run_phase(PhaseRun::spawn(plan, sources, None, self.sweep(), &opts)?)
     }
 
-    /// Threaded execution of a fragmented plan: every producer fragment
-    /// runs its quiesce-aware driver loop on its own thread (a
-    /// [`ThreadedFragmentRun`] driven straight to completion), shipping
-    /// root output through a bounded exchange queue; the root fragment
-    /// runs on the calling thread over its own sources plus the
-    /// [`ExchangeSource`]s.
+    /// Threaded execution of a fragmented plan: a [`PhaseRun`] whose
+    /// producer fragments run their quiesce-aware driver loops on their
+    /// own threads, shipping root output through bounded exchange
+    /// queues, while the root fragment runs on the calling thread.
     ///
     /// Every fragment thread is joined before this returns; a producer
     /// panic is re-raised here (never read as EOF), and a producer error
@@ -1709,7 +1641,7 @@ impl SimDriver {
         sources: Vec<Box<dyn Source>>,
         opts: &FragmentOptions,
     ) -> Result<(Batch, ExecReport)> {
-        let clock: Arc<dyn Clock> = match &self.clock {
+        let clock = match &self.clock {
             Some(c) if c.is_wall() => c.clone(),
             _ => {
                 return Err(Error::Plan(
@@ -1725,50 +1657,28 @@ impl SimDriver {
         if !opts.trace.is_enabled() && self.trace.is_enabled() {
             opts.trace = self.trace.clone();
         }
-        let (mut run, mut root_sources) = ThreadedFragmentRun::spawn(
+        self.run_phase(PhaseRun::spawn(
             plan,
             sources,
-            clock.clone(),
-            self.batch_size,
-            self.cpu,
+            Some(clock),
+            self.sweep(),
             &opts,
-        )?;
+        )?)
+    }
 
-        // Root fragment on this thread, over its base relations plus the
-        // exchange streams.
-        let root_result = {
-            let (pipeline, exchanges) = run.root_split();
-            let mut refs: Vec<&mut dyn Source> = Vec::new();
-            for (_, s) in root_sources.iter_mut() {
-                refs.push(s.as_mut());
-            }
-            for ex in exchanges.iter_mut() {
-                refs.push(ex);
-            }
-            self.run_target_refs(pipeline, &mut refs)
-        };
-
-        match root_result {
-            Ok((mut out, mut report)) => {
-                // Natural completion: the queues are already drained, so
-                // the seal only joins threads and collects accounting.
-                let mut sink = Batch::new();
-                let outcome = run.seal(&mut sink)?;
-                out.extend(sink);
-                report.cpu_us += outcome.producer_cpu_us;
-                report.tuples_out = out.len() as u64;
-                report.max_queue_depth = outcome.max_queue_depth;
-                report.blocked_by_exchange = outcome.blocked_by_exchange.clone();
-                Ok((out, report))
-            }
-            Err(e) => {
-                // Teardown: the run's Drop seals and joins every producer
-                // (swallowing their errors — the root's failure wins, as
-                // the sequential path's would).
-                drop(run);
-                Err(e)
-            }
-        }
+    /// Drive `run` to completion with the standard driver loop, then
+    /// seal it. At natural completion the queues are already drained, so
+    /// the seal only joins threads and collects accounting; on an error
+    /// the run's `Drop` joins every producer (the root's failure wins).
+    fn run_phase(&self, mut run: PhaseRun) -> Result<(Batch, ExecReport)> {
+        let (mut out, mut report) =
+            self.drive(|timeline, out| run.sweep(timeline, out, |_, _, _| {}))?;
+        let outcome = run.seal(&mut out)?;
+        report.cpu_us += outcome.producer_cpu_us;
+        report.tuples_out = out.len() as u64;
+        report.max_queue_depth = outcome.max_queue_depth;
+        report.blocked_by_exchange = outcome.blocked_by_exchange;
+        Ok((out, report))
     }
 }
 
@@ -1778,7 +1688,7 @@ mod tests {
     use crate::driver::CpuCostModel;
     use crate::join::pipelined_hash::PipelinedHashJoin;
     use tukwila_relation::{DataType, Field, Value};
-    use tukwila_source::{DelayModel, DelayedSource, MemSource};
+    use tukwila_source::{DelayModel, DelayedSource, MemSource, Poll, SourceProgressView};
     use tukwila_stats::WallClock;
 
     fn schema(p: &str) -> Schema {
@@ -1954,27 +1864,47 @@ mod tests {
     #[test]
     fn exchange_source_respects_max_tuples_and_eof() {
         let (mut writer, reader) = queue_pair(schema("x"), 4);
-        let mut ex = ExchangeSource::new(EXCHANGE_REL_BASE, schema("x"), reader, 100);
+        let mut ex = ExchangeSource::new(EXCHANGE_REL_BASE, reader, 100);
         assert!(matches!(
-            ex.poll(0, 8),
-            Poll::Pending { next_ready_us: 100 }
+            ex.poll_data(0, 8),
+            ExchangePoll::Pending { next_ready_us: 100 }
         ));
         writer.send(tuples(25)).unwrap();
         let mut got = Vec::new();
         loop {
-            match ex.poll(0, 10) {
-                Poll::Ready(b) => {
+            match ex.poll_data(0, 10) {
+                ExchangePoll::Ready(b) => {
                     assert!(b.len() <= 10, "Ready respects max_tuples");
-                    got.extend(b);
+                    got.extend(b.into_rows());
                 }
-                Poll::Pending { .. } => {
+                ExchangePoll::Pending { .. } => {
                     writer.finish(&mut Batch::new()).unwrap();
                 }
-                Poll::Eof => break,
+                ExchangePoll::Eof => break,
             }
         }
         assert_eq!(got.len(), 25);
-        assert!(ex.progress().eof);
+        assert!(ex.is_eof());
+    }
+
+    fn spawn_threaded(
+        sources: Vec<Box<dyn Source>>,
+        clock: &Arc<dyn Clock>,
+        batch_size: usize,
+    ) -> PhaseRun {
+        let sweep = Sweep {
+            batch_size,
+            cpu: CpuCostModel::Measured,
+        };
+        let opts = FragmentOptions::default();
+        PhaseRun::spawn(
+            two_fragment_plan(),
+            sources,
+            Some(clock.clone()),
+            sweep,
+            &opts,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -1989,15 +1919,8 @@ mod tests {
             Box::new(DelayedSource::new(2, "b", schema("b"), tuples(200), &model)),
             Box::new(DelayedSource::new(3, "c", schema("c"), tuples(200), &model)),
         ];
-        let (mut run, mut root_sources) = ThreadedFragmentRun::spawn(
-            two_fragment_plan(),
-            sources,
-            clock.clone(),
-            32,
-            CpuCostModel::Measured,
-            &FragmentOptions::default(),
-        )
-        .unwrap();
+        let mut run = spawn_threaded(sources, &clock, 32);
+        assert!(run.is_threaded());
         assert_eq!(run.producer_count(), 1);
         assert_eq!(run.fragment_count(), 2);
         // Quiesce mid-stream: the producer parks at a batch boundary.
@@ -2006,25 +1929,49 @@ mod tests {
         // Abandon the quiesce; the producer keeps racing.
         run.resume();
         let driver = SimDriver::new(32, CpuCostModel::Measured).with_clock(clock);
-        let (out, _) = {
-            let (pipeline, exchanges) = run.root_split();
-            let mut refs: Vec<&mut dyn Source> = Vec::new();
-            for (_, s) in root_sources.iter_mut() {
-                refs.push(s.as_mut());
-            }
-            for ex in exchanges.iter_mut() {
-                refs.push(ex);
-            }
-            driver.run_target_refs(pipeline, &mut refs).unwrap()
-        };
+        let (out, _) = driver
+            .drive(|timeline, out| run.sweep(timeline, out, |_, _, _| {}))
+            .unwrap();
         assert_eq!(keys(&out), (0..200).collect::<Vec<_>>());
         let mut sink = Batch::new();
         let outcome = run.seal(&mut sink).unwrap();
         assert!(sink.is_empty(), "nothing left in flight at completion");
-        // The producer's sources (a, b) come back tagged with their slots.
+        // Every source comes back tagged with its slot: the producer's
+        // (a, b) and the root's (c).
         let slots: Vec<usize> = outcome.sources.iter().map(|(s, _)| *s).collect();
-        assert_eq!(slots, vec![0, 1]);
+        assert_eq!(slots, vec![0, 1, 2]);
         assert!(outcome.producer_batches > 0);
+    }
+
+    #[test]
+    fn sequential_phase_has_no_producers_and_quiesces_at_once() {
+        let sweep = Sweep {
+            batch_size: 16,
+            cpu: CpuCostModel::Zero,
+        };
+        let opts = FragmentOptions::default();
+        let mut run =
+            PhaseRun::spawn(two_fragment_plan(), mem_sources(), None, sweep, &opts).unwrap();
+        assert!(!run.is_threaded());
+        assert_eq!(run.producer_count(), 0);
+        assert_eq!(run.fragment_count(), 2);
+        assert_eq!(
+            run.root_sources_mut().len(),
+            3,
+            "every source is a root source"
+        );
+        assert!(run.quiesce());
+        let mut timeline = Timeline::new(None);
+        let mut out = Batch::new();
+        while !run
+            .sweep(&mut timeline, &mut out, |_, _, _| {})
+            .unwrap()
+            .all_done
+        {}
+        let outcome = run.seal(&mut out).unwrap();
+        assert_eq!(keys(&out), (0..40).collect::<Vec<_>>());
+        assert!(!outcome.states.is_empty());
+        assert_eq!(outcome.sources.len(), 3);
     }
 
     #[test]
@@ -2039,15 +1986,7 @@ mod tests {
             Box::new(DelayedSource::new(2, "b", schema("b"), tuples(300), &model)),
             Box::new(DelayedSource::new(3, "c", schema("c"), tuples(300), &model)),
         ];
-        let (mut run, _root_sources) = ThreadedFragmentRun::spawn(
-            two_fragment_plan(),
-            sources,
-            clock.clone(),
-            16,
-            CpuCostModel::Measured,
-            &FragmentOptions::default(),
-        )
-        .unwrap();
+        let mut run = spawn_threaded(sources, &clock, 16);
         // Let the producer make some progress, then quiesce and seal
         // while its sources are mid-stream.
         let handle = run.quiesce_handles().next().unwrap();

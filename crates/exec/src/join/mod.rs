@@ -7,11 +7,9 @@ pub mod batch;
 pub mod hybrid_hash;
 pub mod merge;
 pub mod nested_loops;
-pub mod overflow;
 pub mod pipelined_hash;
 
 pub use hybrid_hash::HybridHashJoin;
 pub use merge::MergeJoin;
 pub use nested_loops::NestedLoopsJoin;
-pub use overflow::OverflowHashJoin;
 pub use pipelined_hash::PipelinedHashJoin;

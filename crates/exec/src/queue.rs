@@ -9,7 +9,7 @@
 //! whose producer end is an [`IncOp`] (so a pipeline can *end* in a queue)
 //! and whose consumer end feeds another pipeline (or is drained manually).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel::{bounded, Receiver, SendError, Sender, TryRecvError, TrySendError};
@@ -29,6 +29,8 @@ pub struct QueueWriter {
     counters: Arc<OpCounters>,
     /// Sends that found the queue full and had to block (backpressure).
     blocked: Arc<AtomicU64>,
+    /// Set while a [`QueueWriter::send`] is blocked on a full queue.
+    blocking: Arc<AtomicBool>,
     /// Transpose row batches to columns before shipping.
     columnar: bool,
 }
@@ -108,6 +110,7 @@ pub fn queue_pair(schema: Schema, capacity: usize) -> (QueueWriter, QueueReader)
             tx: Some(tx),
             counters: OpCounters::new(),
             blocked: Arc::new(AtomicU64::new(0)),
+            blocking: Arc::new(AtomicBool::new(false)),
             columnar: false,
         },
         QueueReader { schema, rx },
@@ -195,8 +198,14 @@ impl QueueWriter {
                 return Ok(());
             }
             Err(TrySendError::Full(b)) => {
-                self.blocked.fetch_add(1, Ordering::Relaxed);
-                tx.send(b)
+                // Flag first, then count (Release): whoever reads the
+                // count (Acquire) that includes this event also sees the
+                // flag, until the send completes.
+                self.blocking.store(true, Ordering::Relaxed);
+                self.blocked.fetch_add(1, Ordering::Release);
+                let sent = tx.send(b);
+                self.blocking.store(false, Ordering::Release);
+                sent
             }
             Err(TrySendError::Disconnected(_)) => {
                 return Err(Error::Exec(CONSUMER_HANGUP.into()));
@@ -262,6 +271,13 @@ impl QueueWriter {
     /// moved into its producer thread.
     pub fn blocked_handle(&self) -> Arc<AtomicU64> {
         self.blocked.clone()
+    }
+
+    /// Handle to the flag set while a [`QueueWriter::send`] is blocked
+    /// on a full queue. Read it after the [`QueueWriter::blocked_handle`]
+    /// count: a set flag means the last counted event is still blocked.
+    pub fn blocking_handle(&self) -> Arc<AtomicBool> {
+        self.blocking.clone()
     }
 
     /// Batches currently buffered in the queue (0 once closed). Sampled

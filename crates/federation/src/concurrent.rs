@@ -44,7 +44,7 @@
 //!   and every thread is joined before `poll` returns the final `Eof` —
 //!   no leaked threads, ever.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -122,6 +122,8 @@ struct Lane {
     handle: Option<JoinHandle<()>>,
     /// Backpressure events recorded by this lane's writer.
     blocked: Arc<AtomicU64>,
+    /// Whether the lane's writer is blocked on its full queue right now.
+    blocking: Arc<AtomicBool>,
 }
 
 impl Lane {
@@ -284,6 +286,7 @@ impl ConcurrentFederatedSource {
             let descriptor = source.descriptor();
             let (writer, reader) = queue_pair(schema.clone(), config.queue_capacity);
             let blocked = writer.blocked_handle();
+            let blocking = writer.blocking_handle();
             // Candidate 0 is active from the start (the scheduler
             // activated it in `new`); everyone else parks.
             let gate = Arc::new(Gate::new(if idx == 0 {
@@ -304,6 +307,7 @@ impl ConcurrentFederatedSource {
                     gate,
                     handle: Some(handle),
                     blocked,
+                    blocking,
                 }),
                 Err(e) => {
                     // Thread-resource exhaustion mid-construction: the
@@ -378,6 +382,13 @@ impl ConcurrentFederatedSource {
     #[cfg(test)]
     pub(crate) fn blocked_forgiven(&self) -> &[u64] {
         &self.blocked_forgiven
+    }
+
+    /// Whether lane `idx` is blocked on its full queue right now, for
+    /// tests.
+    #[cfg(test)]
+    pub(crate) fn lane_blocking(&self, idx: usize) -> bool {
+        self.lanes[idx].blocking.load(Ordering::Acquire)
     }
 
     /// End the run: stop every producer and join it. Idempotent.
@@ -510,15 +521,6 @@ impl Source for ConcurrentFederatedSource {
                                 .saturating_sub(self.blocked_forgiven[idx]),
                         );
                         if let Some(new_idx) = self.scheduler.on_pending(idx, now_us) {
-                            if std::env::var_os("TUKWILA_DEBUG").is_some() {
-                                eprintln!(
-                                    "[fed-mt {}] lane {idx} silent {}µs -> hedging onto lane {new_idx}",
-                                    self.rel_id,
-                                    self.scheduler.profiles()[idx]
-                                        .silence_us(now_us)
-                                        .unwrap_or(0),
-                                );
-                            }
                             self.open_gate(new_idx);
                             continue 'sweep;
                         }
@@ -596,10 +598,16 @@ impl Source for ConcurrentFederatedSource {
         if self.done || self.pause_baseline.is_some() {
             return;
         }
+        // A send already blocked when the pause begins is backpressure of
+        // the pause too: leave it out of the baseline so resume forgives
+        // it (count first, then the flag — see `QueueWriter::send`).
         self.pause_baseline = Some(
             self.lanes
                 .iter()
-                .map(|l| l.blocked.load(Ordering::Relaxed))
+                .map(|l| {
+                    let blocked = l.blocked.load(Ordering::Acquire);
+                    blocked.saturating_sub(u64::from(l.blocking.load(Ordering::Acquire)))
+                })
                 .collect(),
         );
     }
@@ -857,11 +865,14 @@ mod tests {
             }
         }
         fed.quiesce_delivery();
-        let before = fed.report().candidates[0].blocked_sends;
-        // Wait until the pause has demonstrably produced backpressure.
-        while fed.report().candidates[0].blocked_sends == before {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
+        // Wait until the pause has demonstrably produced backpressure: the
+        // lane's send blocks on its full queue (a send already blocked
+        // when the pause began counts as the pause's backpressure too).
+        let deadline = clock.now_us() + 200_000_000;
+        assert!(
+            tukwila_stats::clock::wait_until(clock.as_ref(), deadline, || fed.lane_blocking(0)),
+            "the paused lane must block on its full queue"
+        );
         fed.resume_delivery(clock.now_us());
         let forgiven = fed.blocked_forgiven()[0];
         assert!(
